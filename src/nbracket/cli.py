@@ -25,8 +25,10 @@ from .expand import (
 from .identities import (
     UnsupportedParameter,
     check_sums,
+    coeff_json,
     intercalation_profile,
     nested_shape,
+    profile_auto,
     split_shape,
     verify_bremner,
     verify_decomposition,
@@ -49,7 +51,6 @@ class RunConfig:
     term_budget: int = DEFAULT_TERM_BUDGET
     threads: int = 1
     format: str = "text"
-    seed: int = 0
     record: str | None = None
 
 
@@ -88,7 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes, or 'auto'")
     common.add_argument("--budget", type=_parse_budget, default=DEFAULT_TERM_BUDGET,
                         metavar="N", help="cap on generated words")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized runs")
     common.add_argument("--record", metavar="PATH",
                         help="append verified reports to this JSON-lines log")
 
@@ -130,7 +130,6 @@ def _config(args) -> RunConfig:
         term_budget=args.budget,
         threads=args.threads,
         format=args.format,
-        seed=args.seed,
         record=args.record,
     )
 
@@ -139,12 +138,6 @@ def _coeff_text(coeff) -> str:
     if isinstance(coeff, Fraction) and coeff.denominator != 1:
         return f"+{coeff}" if coeff > 0 else str(coeff)
     return f"{int(coeff):+d}"
-
-
-def _coeff_json(coeff):
-    if isinstance(coeff, Fraction):
-        return int(coeff) if coeff.denominator == 1 else str(coeff)
-    return coeff
 
 
 def word_latex(word) -> str:
@@ -182,7 +175,7 @@ def cmd_expand(args, config: RunConfig) -> int:
         payload = {
             "expr": render(expr),
             "terms": [
-                {"coefficient": _coeff_json(element.coefficient(w)), "word": word_str(w)}
+                {"coefficient": coeff_json(element.coefficient(w)), "word": word_str(w)}
                 for w in words
             ],
             "count": len(words),
@@ -198,20 +191,9 @@ def cmd_expand(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _reduce_classes(expr, config: RunConfig, path: str):
-    if path == "oracle":
-        return oracle_profile(expr, budget=config.term_budget, jobs=config.threads), "oracle"
-    if path == "fast":
-        return fast_profile(expr, budget=config.term_budget), "fast"
-    try:
-        return fast_profile(expr, budget=config.term_budget), "fast"
-    except UnsupportedShapeError:
-        return oracle_profile(expr, budget=config.term_budget, jobs=config.threads), "oracle"
-
-
 def cmd_reduce(args, config: RunConfig) -> int:
     expr = parse(args.expr, roles=_parse_roles(args.role))
-    classes, used_path = _reduce_classes(expr, config, args.path)
+    classes, used_path = profile_auto(expr, config.term_budget, config.threads, args.path)
     ordered = sorted(classes, key=word_sort_key)
     resolution = intercalation_profile(classes)
     profile = resolution[0] if resolution else None
@@ -220,7 +202,7 @@ def cmd_reduce(args, config: RunConfig) -> int:
             "expr": render(expr),
             "path": used_path,
             "classes": [
-                {"pattern": pattern_str(p), "coefficient": _coeff_json(classes[p])}
+                {"pattern": pattern_str(p), "coefficient": coeff_json(classes[p])}
                 for p in ordered
             ],
             "profile": profile,

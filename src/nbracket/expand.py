@@ -1,29 +1,37 @@
 """Expansion of bracket expressions into canonical-class profiles.
 
-Two routes produce a profile and must agree wherever both run.
+One kernel, two ordering sources.  ``_concat`` is the only place words are
+built: for each signed ordering of a bracket's entries, and each choice of
+one term per entry, it yields the signed concatenation.  ``_terms`` applies
+it recursively, a product being a bracket with the single identity ordering.
+The two routes differ only in where a bracket's orderings come from, and they
+must agree wherever both run.
 
-The *oracle* expands every bracket literally, one signed word per ordering of
-its entries, and reduces each word the moment it is produced.  Memory stays
-bounded by the handful of canonical classes even when the word count runs to
-millions.  The enumeration over the outermost bracket can be partitioned into
-Lehmer-rank blocks and merged additively, which is how multi-process runs
-work; exact coefficients make the merge order irrelevant.
+The *oracle* takes every ordering, ``signed_perm_range``, so its words are
+the literal expansion.  The root bracket's words stream straight into the
+canonical reduction, so memory stays bounded by the handful of classes even
+when the word count runs to millions.  The root's orderings can be
+partitioned into Lehmer-rank blocks and merged additively, which is how
+multi-process runs work; exact coefficients make the merge order irrelevant.
 
-The *fast* route exploits antisymmetry twice.  An inner bracket whose entries
-are all distinct family atoms collapses to factorial(arity) times the ordered
-product (every ordering reduces to the same class with the ordering sign
-cancelled by relabeling).  The same cancellation means a bracket's orderings
-that only shuffle its family-atom entries among themselves contribute one
-representative word with multiplicity factorial(#atoms), so only the
-placements of the remaining distinguished entries are enumerated.  This turns
-a factorial word count into a small polynomial one.
+The *fast* route exploits antisymmetry twice.  ``supplant_all`` first
+replaces each inner bracket of distinct family atoms by factorial(arity)
+times the ordered product (every ordering reduces to the same class with the
+ordering sign cancelled by relabeling).  Then ``_collapsed_orderings`` keeps
+a bracket's family atoms in their original order and enumerates only the
+placements of the remaining distinguished entries, each with multiplicity
+factorial(#atoms): the orderings that merely shuffle the atoms are congruent
+to the kept one, because those indices occur nowhere else.  This turns a
+factorial word count into a small polynomial one.  The oracle never uses
+either shortcut, which is what makes the cross-check between routes mean
+something.
 """
 
 from concurrent.futures import ProcessPoolExecutor
 from itertools import permutations as iter_placements, product as iter_product
-from math import factorial
+from math import factorial, prod
 
-from .algebra import FreeElement, canonical_reduce, is_anti, merge_class_maps, reduce_terms
+from .algebra import FreeElement, is_anti, merge_class_maps, reduce_terms
 from .permutations import parity, signed_perm_range
 from .syntax import Atom, Bracket, Product, validate_unique_anti
 
@@ -45,20 +53,111 @@ def _check_budget(count, budget, label):
         )
 
 
-def naive_term_count(expr) -> int:
-    """Words the literal expansion generates (factorial per bracket)."""
+def _is_family_atom(node):
+    return isinstance(node, Atom) and is_anti(node.symbol)
+
+
+def _child_nodes(node):
+    if isinstance(node, Product):
+        return node.factors
+    if isinstance(node, Bracket):
+        return node.entries
+    return ()
+
+
+def _word_count(expr, arrangements):
+    """Words ``_terms`` yields when a bracket has arrangements(entries) orderings."""
     if isinstance(expr, Atom):
         return 1
-    count = 1
-    if isinstance(expr, Product):
-        for f in expr.factors:
-            count *= naive_term_count(f)
-        return count
+    if not isinstance(expr, (Product, Bracket)):
+        raise TypeError(f"not a bracket expression: {expr!r}")
+    count = arrangements(expr.entries) if isinstance(expr, Bracket) else 1
+    for kid in _child_nodes(expr):
+        count *= _word_count(kid, arrangements)
+    return count
+
+
+def naive_term_count(expr) -> int:
+    """Words the literal expansion generates (factorial per bracket)."""
+    return _word_count(expr, lambda entries: factorial(len(entries)))
+
+
+def collapsed_term_count(expr) -> int:
+    """Words the fast route generates once family-atom orderings collapse."""
+    return _word_count(expr, lambda entries: factorial(len(entries))
+                       // factorial(sum(map(_is_family_atom, entries))))
+
+
+# ---------------------------------------------------------------------------
+# the kernel and its ordering sources
+
+
+def _concat(lists, orderings):
+    """Yield (weight times the chosen coefficients, concatenated word).
+
+    One word per ``(weight, order)`` in orderings and per choice of one
+    ``(coefficient, word)`` term from each entry list, entries taken in order.
+    """
+    for weight, order in orderings:
+        for combo in iter_product(*[lists[i] for i in order]):
+            coeff = weight
+            word = ()
+            for c, w in combo:
+                coeff *= c
+                word += w
+            yield coeff, word
+
+
+def _terms(expr, orderings):
+    """Signed words of expr, a bracket's orderings taken from orderings(entries).
+
+    Entries are expanded into lists; the words of expr itself are streamed.
+    Nothing is accumulated, so exactly the counted words are generated.
+    """
+    if isinstance(expr, Atom):
+        return [(1, (expr.symbol,))]
+    if not isinstance(expr, (Product, Bracket)):
+        raise TypeError(f"not a bracket expression: {expr!r}")
+    kids = _child_nodes(expr)
+    lists = [list(_terms(kid, orderings)) for kid in kids]
     if isinstance(expr, Bracket):
-        for e in expr.entries:
-            count *= naive_term_count(e)
-        return count * factorial(len(expr.entries))
-    raise TypeError(f"not a bracket expression: {expr!r}")
+        return _concat(lists, orderings(kids))
+    return _concat(lists, ((1, range(len(kids))),))
+
+
+def _literal_orderings(entries):
+    return signed_perm_range(len(entries))
+
+
+def _collapsed_orderings(total, special_pos):
+    """Orderings of a bracket whose entries outside special_pos are family atoms.
+
+    One ordering per placement of the special entries; the atoms fill the
+    remaining positions in their original order, and the ordering's weight is
+    factorial(#atoms) times its parity.
+    """
+    atom_pos = [i for i in range(total) if i not in special_pos]
+    multiplicity = factorial(len(atom_pos))
+    for placement in iter_placements(range(total), len(special_pos)):
+        order = [None] * total
+        for orig, pos in zip(special_pos, placement):
+            order[pos] = orig
+        fill = iter(atom_pos)
+        order = [next(fill) if i is None else i for i in order]
+        yield multiplicity * parity(order), order
+
+
+def _fast_orderings(entries):
+    special_pos = [i for i, e in enumerate(entries) if not _is_family_atom(e)]
+    if sum(not isinstance(entries[i], Atom) for i in special_pos) > 2:
+        raise UnsupportedShapeError(
+            "bracket nests more than two composite entries; use the oracle route"
+        )
+    return _collapsed_orderings(len(entries), special_pos)
+
+
+def _element_terms(element):
+    return [(c, w) for w, c in element.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -71,101 +170,28 @@ def expand_bracket(entries, budget=DEFAULT_TERM_BUDGET) -> FreeElement:
     Entries are FreeElements; the result is multilinear and totally
     antisymmetric in them.
     """
-    entries = list(entries)
-    if not entries:
+    lists = [_element_terms(e) for e in entries]
+    if not lists:
         raise ValueError("bracket needs at least one entry")
-    lists = [[(c, w) for w, c in e.items()] for e in entries]
-    count = factorial(len(lists))
-    for terms in lists:
-        count *= len(terms)
-    _check_budget(count, budget, "bracket expansion")
-    data = {}
-    for sign, order in signed_perm_range(len(lists)):
-        for combo in iter_product(*[lists[i] for i in order]):
-            coeff = sign
-            word = ()
-            for c, w in combo:
-                coeff *= c
-                word += w
-            value = data.get(word, 0) + coeff
-            if value:
-                data[word] = value
-            elif word in data:
-                del data[word]
-    return FreeElement(data)
-
-
-def _materialize(expr):
-    """Full expansion as a list of (coefficient, word) terms."""
-    if isinstance(expr, Atom):
-        return [(1, (expr.symbol,))]
-    if isinstance(expr, Product):
-        terms = [(1, ())]
-        for factor in expr.factors:
-            fterms = _materialize(factor)
-            terms = [(c1 * c2, w1 + w2) for c1, w1 in terms for c2, w2 in fterms]
-        return terms
-    if isinstance(expr, Bracket):
-        lists = [_materialize(e) for e in expr.entries]
-        data = {}
-        for sign, order in signed_perm_range(len(lists)):
-            for combo in iter_product(*[lists[i] for i in order]):
-                coeff = sign
-                word = ()
-                for c, w in combo:
-                    coeff *= c
-                    word += w
-                value = data.get(word, 0) + coeff
-                if value:
-                    data[word] = value
-                elif word in data:
-                    del data[word]
-        return [(c, w) for w, c in data.items()]
-    raise TypeError(f"not a bracket expression: {expr!r}")
+    _check_budget(factorial(len(lists)) * prod(map(len, lists)), budget, "bracket expansion")
+    return FreeElement((w, c) for c, w in _concat(lists, signed_perm_range(len(lists))))
 
 
 def expand_expr(expr, budget=DEFAULT_TERM_BUDGET) -> FreeElement:
     """Recursive literal expansion of a bracket expression."""
     _check_budget(naive_term_count(expr), budget, "expansion")
-    return FreeElement((w, c) for c, w in _materialize(expr))
+    return FreeElement((w, c) for c, w in _terms(expr, _literal_orderings))
 
 
-def _profile_block(expr, rank_range=None):
-    """Classes contributed by one block of outer-bracket orderings.
+def _profile_block(expr, rank_range=(0, None)):
+    """Classes contributed by one Lehmer-rank block of root-bracket orderings.
 
-    With rank_range None the whole expression is processed.  The root
-    bracket's orderings are streamed so the full word list is never held.
+    The default block is every ordering.
     """
     if not isinstance(expr, Bracket):
-        return reduce_terms(_materialize(expr))
-    lists = [_materialize(e) for e in expr.entries]
-    n = len(lists)
-    lo, hi = rank_range if rank_range is not None else (0, factorial(n))
-    classes = {}
-    get = classes.get
-    for sign, order in signed_perm_range(n, lo, hi):
-        pools = [lists[i] for i in order]
-        for combo in iter_product(*pools):
-            coeff = sign
-            word = ()
-            for c, w in combo:
-                coeff *= c
-                word += w
-            reduced = canonical_reduce(word)
-            if reduced is None:
-                continue
-            rsign, pattern = reduced
-            value = get(pattern, 0) + (coeff if rsign > 0 else -coeff)
-            if value:
-                classes[pattern] = value
-            elif pattern in classes:
-                del classes[pattern]
-    return classes
-
-
-def _profile_block_task(args):
-    expr, lo, hi = args
-    return _profile_block(expr, (lo, hi))
+        return reduce_terms(_terms(expr, _literal_orderings))
+    lists = [list(_terms(e, _literal_orderings)) for e in expr.entries]
+    return reduce_terms(_concat(lists, signed_perm_range(len(lists), *rank_range)))
 
 
 def oracle_profile(expr, budget=DEFAULT_TERM_BUDGET, jobs=1):
@@ -181,9 +207,9 @@ def oracle_profile(expr, budget=DEFAULT_TERM_BUDGET, jobs=1):
         total = factorial(len(expr.entries))
         jobs = min(jobs, total)
         step = -(-total // jobs)
-        blocks = [(expr, lo, min(lo + step, total)) for lo in range(0, total, step)]
+        blocks = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_profile_block_task, blocks))
+            parts = list(pool.map(_profile_block, [expr] * len(blocks), blocks))
         return merge_class_maps(parts)
     return _profile_block(expr)
 
@@ -193,22 +219,9 @@ def oracle_profile(expr, budget=DEFAULT_TERM_BUDGET, jobs=1):
 
 
 def _supplant_eligible(node):
-    if not isinstance(node, Bracket):
+    if not isinstance(node, Bracket) or not all(map(_is_family_atom, node.entries)):
         return False
-    indices = []
-    for e in node.entries:
-        if not (isinstance(e, Atom) and is_anti(e.symbol)):
-            return False
-        indices.append(e.symbol)
-    return len(set(indices)) == len(indices)
-
-
-def _child_nodes(node):
-    if isinstance(node, Product):
-        return node.factors
-    if isinstance(node, Bracket):
-        return node.entries
-    return ()
+    return len({e.symbol for e in node.entries}) == len(node.entries)
 
 
 def _rebuild(node, path, replacement):
@@ -264,6 +277,24 @@ def supplant_all(expr):
     return factor, node
 
 
+def fast_profile(expr, budget=DEFAULT_TERM_BUDGET):
+    """Profile via supplanted inner brackets and collapsed atom orderings.
+
+    Equals oracle_profile on every supported shape; raises
+    UnsupportedShapeError when a bracket nests more than two composite
+    entries after the supplant rewrite.
+    """
+    validate_unique_anti(expr)
+    factor, rewritten = supplant_all(expr)
+    _check_budget(collapsed_term_count(rewritten), budget, "fast expansion")
+    classes = reduce_terms(_terms(rewritten, _fast_orderings))
+    return {pattern: factor * coeff for pattern, coeff in classes.items()}
+
+
+# ---------------------------------------------------------------------------
+# insertion expansions
+
+
 def _head_indices(element):
     return {s for word, _ in element.items() for s in word if is_anti(s)}
 
@@ -283,143 +314,29 @@ def _require_fresh_slots(slots, *elements):
         used |= indices
 
 
-def intercalate_one(head, slots: int):
-    """Profile of a bracket holding one distinguished entry among fresh slots.
+def _slot_terms(slots):
+    return [[(1, (i,))] for i in range(1, slots + 1)]
 
-    The slots carry family indices 1..slots.  The bracket equals
-    factorial(slots) times the alternating sum over insertion points j of
-    (slot words 1..j) head (slot words j+1..slots), and that is what is
-    reduced here.
+
+def intercalate_one(head, slots: int):
+    """Profile of the bracket [head b1 .. b_slots] over fresh family slots.
+
+    Through the collapsed orderings this is factorial(slots) times the
+    alternating sum over insertion points j of (slot words 1..j) head
+    (slot words j+1..slots).
     """
     _require_fresh_slots(slots, head)
-    weight = factorial(slots)
-    terms = []
-    for j in range(slots + 1):
-        prefix = tuple(range(1, j + 1))
-        suffix = tuple(range(j + 1, slots + 1))
-        signed = -weight if j & 1 else weight
-        for word, coeff in head.items():
-            terms.append((signed * coeff, prefix + word + suffix))
-    return reduce_terms(terms)
+    lists = [_element_terms(head)] + _slot_terms(slots)
+    return reduce_terms(_concat(lists, _collapsed_orderings(slots + 1, [0])))
 
 
 def intercalate_two(head, tail, slots: int):
-    """Profile of a bracket with two distinguished entries among fresh slots.
+    """Profile of the bracket [head b1 .. b_slots tail] over fresh family slots.
 
-    Head and tail are inserted at every ordered pair of positions among slot
-    indices 1..slots, head-before-tail terms minus tail-before-head terms,
-    each ordering weighted factorial(slots) times the two insertion signs.
+    Through the collapsed orderings, head and tail take every ordered pair of
+    distinct positions with the slots filling the rest in order, each
+    placement weighted factorial(slots) times its sign.
     """
     _require_fresh_slots(slots, head, tail)
-    weight = factorial(slots)
-    terms = []
-    for j in range(slots + 1):
-        for k in range(slots - j + 1):
-            first = tuple(range(1, k + 1))
-            middle = tuple(range(k + 1, slots - j + 1))
-            last = tuple(range(slots - j + 1, slots + 1))
-            signed = -weight if (j + k) & 1 else weight
-            for word_a, coeff_a in head.items():
-                for word_z, coeff_z in tail.items():
-                    coeff = signed * coeff_a * coeff_z
-                    terms.append((coeff, first + word_a + middle + word_z + last))
-                    terms.append((-coeff, first + word_z + middle + word_a + last))
-    return reduce_terms(terms)
-
-
-def collapsed_term_count(expr) -> int:
-    """Words the fast route generates once family-atom orderings collapse."""
-    if isinstance(expr, Atom):
-        return 1
-    if isinstance(expr, Product):
-        count = 1
-        for f in expr.factors:
-            count *= collapsed_term_count(f)
-        return count
-    if isinstance(expr, Bracket):
-        total = len(expr.entries)
-        count = 1
-        distinguished = 0
-        for e in expr.entries:
-            if isinstance(e, Atom) and is_anti(e.symbol):
-                continue
-            distinguished += 1
-            count *= collapsed_term_count(e)
-        return count * (factorial(total) // factorial(total - distinguished))
-    raise TypeError(f"not a bracket expression: {expr!r}")
-
-
-def _collapsed_terms(expr):
-    """Expansion congruent to the literal one modulo family relabeling.
-
-    Dropping the orderings that only permute a bracket's own family atoms is
-    sound because those atoms' indices occur nowhere else, so each dropped
-    word equals a kept one after a relabeling whose sign cancels the ordering
-    sign.  The multiplicity factorial(#atoms) accounts for them.
-    """
-    if isinstance(expr, Atom):
-        return [(1, (expr.symbol,))]
-    if isinstance(expr, Product):
-        terms = [(1, ())]
-        for factor in expr.factors:
-            fterms = _collapsed_terms(factor)
-            terms = [(c1 * c2, w1 + w2) for c1, w1 in terms for c2, w2 in fterms]
-        return terms
-    if not isinstance(expr, Bracket):
-        raise TypeError(f"not a bracket expression: {expr!r}")
-
-    entries = expr.entries
-    total = len(entries)
-    special_pos = [i for i, e in enumerate(entries)
-                   if not (isinstance(e, Atom) and is_anti(e.symbol))]
-    composite = sum(1 for i in special_pos if not isinstance(entries[i], Atom))
-    if composite > 2:
-        raise UnsupportedShapeError(
-            "bracket nests more than two composite entries; use the oracle route"
-        )
-    atom_pos = [i for i in range(total) if i not in set(special_pos)]
-    multiplicity = factorial(len(atom_pos))
-    special_lists = [_collapsed_terms(entries[i]) for i in special_pos]
-
-    out = []
-    for placement in iter_placements(range(total), len(special_pos)):
-        arrangement = [None] * total
-        for orig, pos in zip(special_pos, placement):
-            arrangement[pos] = orig
-        fill = iter(atom_pos)
-        slots = []  # per position: family symbol, or index into the combo
-        for pos in range(total):
-            if arrangement[pos] is None:
-                arrangement[pos] = next(fill)
-                slots.append((entries[arrangement[pos]].symbol,))
-            else:
-                slots.append(special_pos.index(arrangement[pos]))
-        weight = multiplicity * parity(arrangement)
-        for combo in iter_product(*special_lists):
-            coeff = weight
-            word = ()
-            for slot in slots:
-                if isinstance(slot, tuple):
-                    word += slot
-                else:
-                    c, w = combo[slot]
-                    coeff *= c
-                    word += w
-            out.append((coeff, word))
-    return out
-
-
-def fast_profile(expr, budget=DEFAULT_TERM_BUDGET):
-    """Profile via supplanted inner brackets and collapsed atom orderings.
-
-    Equals oracle_profile on every supported shape; raises
-    UnsupportedShapeError when a bracket nests more than two composite
-    entries after the supplant rewrite.
-    """
-    validate_unique_anti(expr)
-    factor, rewritten = supplant_all(expr)
-    _check_budget(collapsed_term_count(rewritten), budget, "fast expansion")
-    terms = _collapsed_terms(rewritten)
-    if factor != 1:
-        terms = [(factor * c, w) for c, w in terms]
-    return reduce_terms(terms)
+    lists = [_element_terms(head)] + _slot_terms(slots) + [_element_terms(tail)]
+    return reduce_terms(_concat(lists, _collapsed_orderings(slots + 2, [0, slots + 1])))

@@ -175,7 +175,8 @@ class IdentityReport:
         }
 
 
-def _coeff_json(value):
+def coeff_json(value):
+    """An exact coefficient as JSON: an int when integral, else "p/q"."""
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else str(value)
     return value
@@ -229,11 +230,16 @@ def decomposition_basis(L: int) -> list:
     return [flat, paired]
 
 
-def _profile_auto(expr, budget, jobs=1):
-    try:
-        return fast_profile(expr, budget=budget)
-    except UnsupportedShapeError:
-        return oracle_profile(expr, budget=budget, jobs=jobs)
+def profile_auto(expr, budget, jobs=1, path="auto"):
+    """``(classes, route)``: the fast route, falling back to the oracle on
+    shapes it does not cover unless ``path`` names one route."""
+    if path != "oracle":
+        try:
+            return fast_profile(expr, budget=budget), "fast"
+        except UnsupportedShapeError:
+            if path == "fast":
+                raise
+    return oracle_profile(expr, budget=budget, jobs=jobs), "oracle"
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +264,7 @@ def verify_even_gji(N: int, budget=DEFAULT_TERM_BUDGET, jobs=1) -> IdentityRepor
         pattern = min(classes, key=word_sort_key)
         witness = {
             "pattern": pattern_str(pattern),
-            "coefficient": _coeff_json(classes[pattern]),
+            "coefficient": coeff_json(classes[pattern]),
             "expected": 0,
         }
     return IdentityReport(
@@ -272,17 +278,21 @@ def verify_even_gji(N: int, budget=DEFAULT_TERM_BUDGET, jobs=1) -> IdentityRepor
     )
 
 
+def _require_odd_size(N):
+    if not isinstance(N, int) or N < 1 or N % 2 == 0:
+        raise UnsupportedParameter(f"odd bracket size required, got {N}")
+
+
 def odd_reduction_constant(N: int, budget=DEFAULT_TERM_BUDGET, jobs=1, path="fast") -> Fraction:
     """Constant k with profile(double action) = k * profile(flat bracket).
 
     Defined for odd N.  Raises ProportionalityError if no single k fits every
-    class, which would falsify the reduction claim.
+    class, which would falsify the reduction claim.  ``path`` is as for
+    ``profile_auto``.
     """
-    if not isinstance(N, int) or N < 1 or N % 2 == 0:
-        raise UnsupportedParameter(f"odd bracket size required, got {N}")
-    profile = oracle_profile if path == "oracle" else _profile_auto
-    double = profile(double_action_expr(N), budget=budget, jobs=jobs)
-    flat = profile(flat_bracket_expr(2 * N - 1), budget=budget, jobs=jobs)
+    _require_odd_size(N)
+    double, _ = profile_auto(double_action_expr(N), budget, jobs, path)
+    flat, _ = profile_auto(flat_bracket_expr(2 * N - 1), budget, jobs, path)
     if set(double) != set(flat):
         raise ProportionalityError("profiles live on different classes")
     ratio = None
@@ -298,6 +308,7 @@ def odd_reduction_constant(N: int, budget=DEFAULT_TERM_BUDGET, jobs=1, path="fas
 
 
 def verify_odd_reduction(N: int, budget=DEFAULT_TERM_BUDGET, jobs=1) -> IdentityReport:
+    _require_odd_size(N)
     terms = naive_term_count(double_action_expr(N)) + factorial(2 * N - 1)
     start = perf_counter()
     try:
@@ -333,34 +344,12 @@ def bremner_profiles(L: int, budget=DEFAULT_TERM_BUDGET):
     return side1, side2
 
 
-PROFILE_VERIFICATION_LIMIT = 3  # beyond this, verify_bremner checks closed forms only
-
-
 def verify_bremner(L: int, budget=DEFAULT_TERM_BUDGET) -> IdentityReport:
-    """Compare both triple-nesting profiles with each other and the closed form.
-
-    For L above PROFILE_VERIFICATION_LIMIT only the closed-form sum rule and
-    reflection symmetry are checked and profile computation is marked skipped.
-    """
+    """Compare both triple-nesting profiles with each other and the closed form."""
     if not isinstance(L, int) or L < 1:
         raise UnsupportedParameter(f"half-order must be an integer >= 1, got {L}")
     closed = CoefficientProfile.closed_form(L)
     start = perf_counter()
-    if L > PROFILE_VERIFICATION_LIMIT:
-        sums_ok = (
-            sum(closed.m) == factorial(2 * L + 1) ** 3
-            and sum(reduced_multiplicity(n, L) for n in range(6 * L + 1)) == 2 * L * (2 * L + 1) ** 2
-        )
-        status = "verified" if sums_ok and closed.is_reflection_symmetric() else "violated"
-        return IdentityReport(
-            identity="bremner",
-            params={"L": L},
-            status=status,
-            profile=list(closed.m),
-            terms=0,
-            details={"profiles": "skipped (closed-form checks only)"},
-            elapsed_ms=(perf_counter() - start) * 1e3,
-        )
     side1, side2 = bremner_profiles(L, budget=budget)
     terms = collapsed_term_count(split_shape(L)) + collapsed_term_count(nested_shape(L))
     witness = None
@@ -372,8 +361,8 @@ def verify_bremner(L: int, budget=DEFAULT_TERM_BUDGET) -> IdentityReport:
                 "pattern": pattern_str(
                     (ANTI_SLOT,) * n + ("A",) + (ANTI_SLOT,) * (closed.width - 1 - n)
                 ),
-                "split": _coeff_json(side1.m[n]),
-                "nested": _coeff_json(side2.m[n]),
+                "split": coeff_json(side1.m[n]),
+                "nested": coeff_json(side2.m[n]),
                 "closed_form": closed.m[n],
             }
             break
@@ -486,8 +475,8 @@ def decompose(target, basis, budget=DEFAULT_TERM_BUDGET, jobs=1):
             raise ValueError(
                 f"basis entry {render(expr)} does not use the target's family indices"
             )
-    target_profile = _profile_auto(target, budget, jobs)
-    basis_profiles = [_profile_auto(expr, budget, jobs) for expr in basis]
+    target_profile, _ = profile_auto(target, budget, jobs)
+    basis_profiles = [profile_auto(expr, budget, jobs)[0] for expr in basis]
     classes = set(target_profile)
     for p in basis_profiles:
         classes |= set(p)

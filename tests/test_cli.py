@@ -143,6 +143,10 @@ def test_unsupported_parameter_exit_code(capsys):
     assert "unsupported" in err
     code, _, err = run(capsys, "verify", "odd-reduce", "4")
     assert code == 4
+    for size in ("0", "-3"):
+        code, _, err = run(capsys, "verify", "odd-reduce", size)
+        assert code == 4, size
+        assert "unsupported" in err
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from nbracket import expand
 from nbracket.algebra import FreeElement
 from nbracket.expand import (
     TermBudgetExceeded,
@@ -327,6 +328,19 @@ def test_fast_profile_rejects_wide_nestings():
         fast_profile(expr)
     # the oracle still covers it
     assert oracle_profile(expr) != {}
+
+
+def test_kernel_generates_exactly_the_counted_words():
+    # the budget gates rest on these counters: each must equal the number of
+    # words the kernel actually yields on its route
+    rng = random.Random(4417)
+    for _ in range(25):
+        expr = random_supported_shape(rng, max_naive=20_000)
+        literal = sum(1 for _ in expand._terms(expr, expand._literal_orderings))
+        assert literal == naive_term_count(expr), expr
+        rewritten = supplant_all(expr)[1]
+        collapsed = sum(1 for _ in expand._terms(rewritten, expand._fast_orderings))
+        assert collapsed == collapsed_term_count(rewritten), expr
 
 
 def test_collapsed_count_is_factorially_smaller():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from nbracket.expand import oracle_profile
+from nbracket.expand import collapsed_term_count, oracle_profile
 from nbracket.identities import (
     CoefficientProfile,
     UnsupportedParameter,
@@ -158,10 +158,12 @@ def test_verify_bremner_small_orders():
         assert report.witness is None
 
 
-def test_verify_bremner_skips_enumeration_at_large_order():
+def test_verify_bremner_compares_real_profiles_at_large_order():
     report = verify_bremner(5)
     assert report.verified
-    assert "skipped" in report.details["profiles"]
+    assert report.details["path"] == "fast"
+    assert report.profile == list(CoefficientProfile.closed_form(5).m)
+    assert report.terms == collapsed_term_count(split_shape(5)) + collapsed_term_count(nested_shape(5))
 
 
 def test_verify_bremner_detects_perturbation(monkeypatch):
