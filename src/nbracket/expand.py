@@ -11,22 +11,21 @@ The *oracle* takes every ordering, ``signed_perm_range``, so its words are
 the literal expansion.  The root bracket's words stream straight into the
 canonical reduction, so memory stays bounded by the handful of classes even
 when the word count runs to millions.  The root's orderings can be
-partitioned into Lehmer-rank blocks and merged additively, which is how
+partitioned into lexicographic-rank blocks and merged additively, which is how
 multi-process runs work; exact coefficients make the merge order irrelevant.
 
-The *fast* route exploits antisymmetry twice.  ``supplant_all`` first
-replaces each inner bracket of distinct family atoms by factorial(arity)
-times the ordered product (every ordering reduces to the same class with the
-ordering sign cancelled by relabeling).  Then ``_collapsed_orderings`` keeps
+The *fast* route applies antisymmetry once.  ``_collapsed_orderings`` keeps
 a bracket's family atoms in their original order and enumerates only the
 placements of the remaining distinguished entries, each with multiplicity
 factorial(#atoms): the orderings that merely shuffle the atoms are congruent
-to the kept one, because those indices occur nowhere else.  This turns a
-factorial word count into a small polynomial one.  The oracle never uses
-either shortcut, which is what makes the cross-check between routes mean
+to the kept one, because those indices occur nowhere else.  A bracket of
+family atoms alone thus has one ordering, weighted factorial(arity).  This
+turns a factorial word count into a small polynomial one.  The oracle never
+uses the shortcut, which is what makes the cross-check between routes mean
 something.
 """
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from itertools import permutations as iter_placements, product as iter_product
 from math import factorial, prod
@@ -48,8 +47,9 @@ class UnsupportedShapeError(ValueError):
 
 def _check_budget(count, budget, label):
     if count > budget:
+        shown = count if count.bit_length() <= 3000 else f"over 2^{count.bit_length() - 1}"
         raise TermBudgetExceeded(
-            f"{label} needs {count} words, exceeding the term budget of {budget}"
+            f"{label} needs {shown} words, exceeding the term budget of {budget}"
         )
 
 
@@ -184,7 +184,7 @@ def expand_expr(expr, budget=DEFAULT_TERM_BUDGET) -> FreeElement:
 
 
 def _profile_block(expr, rank_range=(0, None)):
-    """Classes contributed by one Lehmer-rank block of root-bracket orderings.
+    """Classes from one lexicographic-rank block of root-bracket orderings.
 
     The default block is every ordering.
     """
@@ -198,11 +198,13 @@ def oracle_profile(expr, budget=DEFAULT_TERM_BUDGET, jobs=1):
     """Ground-truth profile: literal expansion with eager canonical reduction.
 
     ``jobs`` > 1 splits the outermost bracket's orderings into contiguous
-    Lehmer-rank blocks handled by worker processes; partial class maps merge
-    additively and the result is identical for any block layout.
+    lexicographic-rank blocks handled by at most ``os.cpu_count()`` worker
+    processes; partial class maps merge additively and the result is
+    identical for any block layout.
     """
     validate_unique_anti(expr)
     _check_budget(naive_term_count(expr), budget, "oracle expansion")
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1 and isinstance(expr, Bracket):
         total = factorial(len(expr.entries))
         jobs = min(jobs, total)
@@ -218,77 +220,16 @@ def oracle_profile(expr, budget=DEFAULT_TERM_BUDGET, jobs=1):
 # fast route
 
 
-def _supplant_eligible(node):
-    if not isinstance(node, Bracket) or not all(map(_is_family_atom, node.entries)):
-        return False
-    return len({e.symbol for e in node.entries}) == len(node.entries)
-
-
-def _rebuild(node, path, replacement):
-    if not path:
-        return replacement
-    head, rest = path[0], path[1:]
-    kids = list(_child_nodes(node))
-    kids[head] = _rebuild(kids[head], rest, replacement)
-    if isinstance(node, Product):
-        return Product(tuple(kids))
-    return Bracket(tuple(kids))
-
-
-def supplant_inner(expr, path=()):
-    """Replace the all-family bracket at ``path`` by a scaled ordered product.
-
-    Returns ``(factor, rewritten)`` with factor = factorial(arity).  Profiles
-    are unchanged because every ordering of distinct family atoms reduces to
-    the same class once the relabeling sign cancels the ordering sign.
-    """
-    target = expr
-    for step in path:
-        kids = _child_nodes(target)
-        if not 0 <= step < len(kids):
-            raise ValueError(f"no child {step} under {target!r}")
-        target = kids[step]
-    if not isinstance(target, Bracket):
-        raise UnsupportedShapeError("supplant target is not a bracket")
-    if not _supplant_eligible(target):
-        raise UnsupportedShapeError(
-            "supplant applies only to brackets of distinct family atoms "
-            "(no fixed symbols, no nested brackets)"
-        )
-    replacement = Product(target.entries)
-    return factorial(len(target.entries)), _rebuild(expr, tuple(path), replacement)
-
-
-def supplant_all(expr):
-    """Rewrite every eligible all-family bracket, accumulating the factor."""
-    if isinstance(expr, Atom):
-        return 1, expr
-    factor = 1
-    kids = []
-    for child in _child_nodes(expr):
-        f, k = supplant_all(child)
-        factor *= f
-        kids.append(k)
-    if isinstance(expr, Product):
-        return factor, Product(tuple(kids))
-    node = Bracket(tuple(kids))
-    if _supplant_eligible(node):
-        return factor * factorial(len(kids)), Product(tuple(kids))
-    return factor, node
-
-
 def fast_profile(expr, budget=DEFAULT_TERM_BUDGET):
-    """Profile via supplanted inner brackets and collapsed atom orderings.
+    """Profile via collapsed family-atom orderings.
 
     Equals oracle_profile on every supported shape; raises
     UnsupportedShapeError when a bracket nests more than two composite
-    entries after the supplant rewrite.
+    entries.
     """
     validate_unique_anti(expr)
-    factor, rewritten = supplant_all(expr)
-    _check_budget(collapsed_term_count(rewritten), budget, "fast expansion")
-    classes = reduce_terms(_terms(rewritten, _fast_orderings))
-    return {pattern: factor * coeff for pattern, coeff in classes.items()}
+    _check_budget(collapsed_term_count(expr), budget, "fast expansion")
+    return reduce_terms(_terms(expr, _fast_orderings))
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,10 @@ Covered identities, each reported through IdentityReport:
                  (6L+1)-bracket and a bracket of two inner brackets.
 """
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lgamma, log
 from time import perf_counter
 
 from .algebra import ANTI_SLOT, pattern_str, word_sort_key
@@ -175,6 +176,17 @@ class IdentityReport:
         }
 
 
+def _require_printable(m, power, what):
+    """Reject a parameter whose report would hold about (m!)**power, an integer
+    too long for int-to-str conversion (a limit of 0, off, counts as 4300)."""
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    # m! has at least m digits for m >= 25, so capping m keeps lgamma finite
+    if power * lgamma(min(m, limit) + 1) / log(10) >= limit:
+        raise UnsupportedParameter(
+            f"{what} would exceed the {limit}-digit limit for printing integers"
+        )
+
+
 def coeff_json(value):
     """An exact coefficient as JSON: an int when integral, else "p/q"."""
     if isinstance(value, Fraction):
@@ -309,6 +321,7 @@ def odd_reduction_constant(N: int, budget=DEFAULT_TERM_BUDGET, jobs=1, path="fas
 
 def verify_odd_reduction(N: int, budget=DEFAULT_TERM_BUDGET, jobs=1) -> IdentityReport:
     _require_odd_size(N)
+    _require_printable(2 * N - 1, 1, "the word count (2N-1)!")
     terms = naive_term_count(double_action_expr(N)) + factorial(2 * N - 1)
     start = perf_counter()
     try:
@@ -384,6 +397,7 @@ def check_sums(L: int) -> IdentityReport:
     multiplicities to ((2L+1)!)^3."""
     if not isinstance(L, int) or L < 1:
         raise UnsupportedParameter(f"half-order must be an integer >= 1, got {L}")
+    _require_printable(2 * L + 1, 3, "the multiplicity sum ((2L+1)!)^3")
     start = perf_counter()
     reduced_sum = sum(reduced_multiplicity(n, L) for n in range(6 * L + 1))
     full_sum = sum(closed_form_multiplicity(n, L) for n in range(6 * L + 1))

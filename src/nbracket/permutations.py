@@ -1,11 +1,12 @@
-"""Permutations of range(n): parity, Lehmer codes, lexicographic rank/unrank.
+"""Permutations of range(n): parity and signed lexicographic ranges.
 
-The expansion engine enumerates the n! signed orderings of bracket entries.
-Rank/unrank lets a worker jump straight to its block of the lexicographic
-order, so the enumeration can be partitioned without coordination.
+The oracle enumerates the n! signed orderings of bracket entries in
+lexicographic order, which is the order of ``itertools.permutations``.  A
+rank range picks one contiguous block of that order, so the enumeration can
+be partitioned among workers without coordination.
 """
 
-from math import factorial
+from itertools import islice, permutations
 
 
 def inversion_count(seq) -> int:
@@ -25,71 +26,7 @@ def parity(seq) -> int:
     return -1 if inversion_count(seq) & 1 else 1
 
 
-def lehmer_code(perm) -> tuple:
-    """Lehmer code: position i counts later entries smaller than perm[i]."""
-    n = len(perm)
-    code = []
-    for i in range(n):
-        a = perm[i]
-        code.append(sum(1 for j in range(i + 1, n) if perm[j] < a))
-    return tuple(code)
-
-
-def from_lehmer(code) -> tuple:
-    pool = list(range(len(code)))
-    return tuple(pool.pop(c) for c in code)
-
-
-def perm_rank(perm) -> int:
-    """Lexicographic rank of a permutation of range(n), starting at 0."""
-    n = len(perm)
-    rank = 0
-    for i, c in enumerate(lehmer_code(perm)):
-        rank += c * factorial(n - 1 - i)
-    return rank
-
-
-def perm_unrank(rank: int, n: int) -> tuple:
-    """Permutation of range(n) at the given lexicographic rank."""
-    if not 0 <= rank < factorial(n):
-        raise ValueError(f"rank {rank} out of range for n={n}")
-    code = []
-    for i in range(n - 1, -1, -1):
-        f = factorial(i)
-        code.append(rank // f)
-        rank %= f
-    return from_lehmer(code)
-
-
-def next_perm(perm):
-    """Lexicographic successor of a permutation, or None at the last one."""
-    seq = list(perm)
-    n = len(seq)
-    i = n - 2
-    while i >= 0 and seq[i] >= seq[i + 1]:
-        i -= 1
-    if i < 0:
-        return None
-    j = n - 1
-    while seq[j] <= seq[i]:
-        j -= 1
-    seq[i], seq[j] = seq[j], seq[i]
-    seq[i + 1:] = reversed(seq[i + 1:])
-    return tuple(seq)
-
-
 def signed_perm_range(n: int, start: int = 0, stop: int | None = None):
     """Yield (sign, perm) for lexicographic ranks start..stop over range(n)."""
-    total = factorial(n)
-    if stop is None:
-        stop = total
-    if not 0 <= start <= stop <= total:
-        raise ValueError(f"bad rank range [{start}, {stop}) for n={n}")
-    if start == stop:
-        return
-    perm = perm_unrank(start, n)
-    for _ in range(stop - start):
+    for perm in islice(permutations(range(n)), start, stop):
         yield parity(perm), perm
-        perm = next_perm(perm)
-        if perm is None:
-            break

@@ -15,7 +15,8 @@ atoms inside a group form a product ("[AD,B,C]" means "[(AD)BC]").
 Bare lowercase letters receive family indices in order of first appearance,
 skipping any indices used explicitly, so "[bcd]" means "[b1 b2 b3]".  The
 ascii renderer always writes family members as ``b<index>``, which makes
-parse(render(x)) the identity.
+parse(render(x)) the identity.  Nesting deeper than ``MAX_DEPTH`` brackets
+and parentheses is a ParseError.
 """
 
 from dataclasses import dataclass
@@ -23,6 +24,11 @@ from dataclasses import dataclass
 from .algebra import is_anti, symbol_str
 
 DEFAULT_FIXED_NAMES = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
+
+# Deepest nesting of brackets and parentheses the parser accepts.  The
+# expanders, counters, walkers and renderers recurse once or twice per level,
+# so this keeps them all well inside the default recursion limit of 1000.
+MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -155,19 +161,21 @@ class _Parser:
             raise ParseError("trailing input after expression", offset)
         return expr
 
-    def primary(self):
+    def primary(self, depth=0):
         kind, value, offset = self.take()
         if kind == "atom":
             return Atom(self.atom_symbol(value, offset))
+        if kind in ("[", "(") and depth == MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", offset)
         if kind == "[":
-            return Bracket(tuple(self.body("]", offset)))
+            return Bracket(tuple(self.body("]", offset, depth + 1)))
         if kind == "(":
-            return Product(tuple(self.body(")", offset)))
+            return Product(tuple(self.body(")", offset, depth + 1)))
         if kind is None:
             raise ParseError("unexpected end of input", offset)
         raise ParseError(f"unexpected {kind!r}", offset)
 
-    def body(self, closer, open_offset):
+    def body(self, closer, open_offset, depth):
         groups = [[]]
         saw_comma = False
         while True:
@@ -186,7 +194,7 @@ class _Parser:
                 groups.append([])
                 self.take()
                 continue
-            groups[-1].append(self.primary())
+            groups[-1].append(self.primary(depth))
         if saw_comma:
             if not groups[-1]:
                 raise ParseError("empty entry after comma", self.tokens[self.pos - 1][2])

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import re
 from pathlib import Path
+from time import perf_counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from nbracket.cli import main
+from nbracket.cli import IDENTITIES, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -116,6 +120,11 @@ def test_parse_error_exit_code(capsys):
     code, out, err = run(capsys, "expand", "[A")
     assert code == 2
     assert "parse error" in err
+    for command in ("expand", "reduce"):
+        for opener, closer in (("[", "]"), ("(", ")")):
+            code, _, err = run(capsys, command, opener * 2000 + "A" + closer * 2000)
+            assert code == 2
+            assert "parse error" in err and "offset 100" in err
 
 
 def test_duplicate_index_exit_code(capsys):
@@ -129,6 +138,9 @@ def test_budget_exit_code(capsys):
                        "--path", "oracle")
     assert code == 3
     assert "budget" in err
+    # (1000!)^2 words: the message abbreviates a count too long to print
+    code, _, err = run(capsys, "verify", "even", "1000")
+    assert code == 3 and "over 2^" in err
 
 
 def test_violated_exit_code(capsys):
@@ -147,6 +159,39 @@ def test_unsupported_parameter_exit_code(capsys):
         code, _, err = run(capsys, "verify", "odd-reduce", size)
         assert code == 4, size
         assert "unsupported" in err
+    # the reports would hold integers beyond the int-to-str digit limit
+    for argv in (("sums", "320"), ("sums", "100000"), ("odd-reduce", "881", "--format", "json")):
+        start = perf_counter()
+        code, out, err = run(capsys, "verify", *argv)
+        assert perf_counter() - start < 1, argv
+        assert code == 4, argv
+        assert out == "" and err.startswith("unsupported:"), argv
+    code, doc = run_json(capsys, "verify", "sums", "300", "--format", "json")
+    assert code == 0 and len(doc["details"]["multiplicity_sum"]) == 4233
+
+
+def _cli_exit_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+short_expressions = st.text(alphabet="[](), ABZbcd1", max_size=14)
+commands = st.one_of(
+    st.tuples(st.sampled_from(("expand", "reduce")), short_expressions),
+    st.tuples(st.just("verify"), st.sampled_from(IDENTITIES), st.integers(-3, 400).map(str)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(commands, st.sampled_from(("text", "json", "latex")))
+@example(("verify", "sums", "320"), "text")
+def test_cli_exits_with_a_documented_code(command, fmt):
+    code = _cli_exit_code([*command, "--format", fmt, "--budget", "10000"])
+    if command[:2] == ("verify", "even") and int(command[2]) % 2:
+        # odd N really violates the even identity
+        assert code in (1, 3, 4), command
+    else:
+        assert code in (0, 2, 3, 4), command
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,6 @@ from nbracket.expand import (
     intercalate_two,
     naive_term_count,
     oracle_profile,
-    supplant_all,
-    supplant_inner,
 )
 from nbracket.syntax import Atom, Bracket, Product, parse
 
@@ -155,46 +153,42 @@ def test_jobs_do_not_change_the_profile():
     assert oracle_profile(parse("[a b]"), jobs=8) == oracle_profile(parse("[a b]"))
 
 
+def test_worker_count_is_clamped_at_cpu_count(monkeypatch):
+    # a stub pool records its size and maps serially, so no process starts
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(expand, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(expand.os, "cpu_count", lambda: 3)
+    expr = Bracket((Atom("A"),) + tuple(Atom(i) for i in range(1, 8)))
+    assert oracle_profile(expr, jobs=100_000) == oracle_profile(expr)
+    assert sizes == [3]
+
+
 # ---------------------------------------------------------------------------
-# supplant rewrite
+# antisymmetry of family atoms
 
 
-def test_supplant_root_bracket():
-    factor, rewritten = supplant_inner(parse("[b1b2b3]"))
-    assert factor == 6
-    assert rewritten == Product((Atom(1), Atom(2), Atom(3)))
-
-
-def test_supplant_single_entry():
-    factor, rewritten = supplant_inner(parse("[b1]"))
-    assert factor == 1
-    assert rewritten == Product((Atom(1),))
-
-
-def test_supplant_at_path_preserves_profile():
+def test_inner_family_bracket_is_factorial_times_its_ordered_product():
+    # every ordering of distinct family atoms reduces to one class, the
+    # ordering sign cancelled by relabeling; checked on the oracle alone
     expr = parse("[[A[bcd]e]fg]")
-    factor, rewritten = supplant_inner(expr, path=(0, 1))
-    assert factor == 6
-    assert oracle_profile(expr) == scaled(oracle_profile(rewritten), factor)
-
-
-def test_supplant_rejects_mixed_brackets():
-    with pytest.raises(UnsupportedShapeError):
-        supplant_inner(parse("[A b1 b2]"))
-    with pytest.raises(UnsupportedShapeError):
-        supplant_inner(parse("[b1 [b2 b3]]"))
-    with pytest.raises(UnsupportedShapeError):
-        supplant_inner(parse("(b1 b2)"))
-
-
-def test_supplant_all_rewrites_every_eligible_bracket():
-    factor, rewritten = supplant_all(parse("[A [bcd] [ef]]"))
-    assert factor == 12
-    assert rewritten == Bracket((
-        Atom("A"),
-        Product((Atom(1), Atom(2), Atom(3))),
-        Product((Atom(4), Atom(5))),
-    ))
+    inner = Product((Atom(1), Atom(2), Atom(3)))
+    ordered = Bracket((Bracket((Atom("A"), inner, Atom(4))), Atom(5), Atom(6)))
+    assert oracle_profile(expr) == scaled(oracle_profile(ordered), 6)
+    assert oracle_profile(parse("[b1b2b3]")) == scaled(oracle_profile(parse("(b1b2b3)")), 6)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +275,8 @@ def test_fast_profile_matches_oracle_on_random_shapes():
 
 def test_moving_an_inner_bracket_to_a_trailing_product():
     # [[A b1 b2][b3 b4 b5] b6] equals -3! times [[A b1 b2] b6 (b3 b4 b5)]:
-    # one entry transposition past an odd entry count, then the supplant factor
+    # one entry transposition past an odd entry count, then the factor 3! of
+    # the inner family bracket
     head = Bracket((Atom("A"), Atom(1), Atom(2)))
     original = Bracket((head, Bracket((Atom(3), Atom(4), Atom(5))), Atom(6)))
     moved = Bracket((head, Atom(6), Product((Atom(3), Atom(4), Atom(5)))))
@@ -338,15 +333,14 @@ def test_kernel_generates_exactly_the_counted_words():
         expr = random_supported_shape(rng, max_naive=20_000)
         literal = sum(1 for _ in expand._terms(expr, expand._literal_orderings))
         assert literal == naive_term_count(expr), expr
-        rewritten = supplant_all(expr)[1]
-        collapsed = sum(1 for _ in expand._terms(rewritten, expand._fast_orderings))
-        assert collapsed == collapsed_term_count(rewritten), expr
+        collapsed = sum(1 for _ in expand._terms(expr, expand._fast_orderings))
+        assert collapsed == collapsed_term_count(expr), expr
 
 
 def test_collapsed_count_is_factorially_smaller():
     expr = parse("[[A[bcd]e]fg]")
     assert naive_term_count(expr) == 216
-    assert collapsed_term_count(supplant_all(expr)[1]) < 216
+    assert collapsed_term_count(expr) < 216
     # family atoms collapse to one representative, fixed atoms cannot
     assert collapsed_term_count(flat(4)) == 1
     assert collapsed_term_count(parse("[ABCD]")) == factorial(4)

@@ -1,18 +1,6 @@
 from itertools import permutations
-from math import factorial
 
-from hypothesis import given, strategies as st
-
-from nbracket.permutations import (
-    from_lehmer,
-    inversion_count,
-    lehmer_code,
-    next_perm,
-    parity,
-    perm_rank,
-    perm_unrank,
-    signed_perm_range,
-)
+from nbracket.permutations import inversion_count, parity, signed_perm_range
 
 
 def test_inversions_small():
@@ -34,30 +22,10 @@ def test_parity_matches_transposition_count():
         assert parity(perm) == (-1) ** swaps
 
 
-@given(st.permutations(list(range(7))))
-def test_rank_unrank_roundtrip(perm):
-    perm = tuple(perm)
-    assert perm_unrank(perm_rank(perm), len(perm)) == perm
-
-
-@given(st.permutations(list(range(6))))
-def test_lehmer_roundtrip(perm):
-    perm = tuple(perm)
-    assert from_lehmer(lehmer_code(perm)) == perm
-
-
-def test_unrank_is_lexicographic():
-    ordered = [perm_unrank(r, 4) for r in range(factorial(4))]
-    assert ordered == sorted(ordered)
-    assert ordered == list(permutations(range(4)))
-
-
-def test_next_perm_walks_the_order():
-    perm = perm_unrank(0, 5)
-    seen = [perm]
-    while (perm := next_perm(perm)) is not None:
-        seen.append(perm)
-    assert seen == list(permutations(range(5)))
+def test_signed_range_is_lexicographic():
+    perms = [perm for _, perm in signed_perm_range(5)]
+    assert perms == sorted(set(perms)) == list(permutations(range(5)))
+    assert [perm for _, perm in signed_perm_range(4, 5, 9)] == list(permutations(range(4)))[5:9]
 
 
 def test_signed_range_blocks_cover_everything():

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nbracket.syntax import (
+    MAX_DEPTH,
     Atom,
     Bracket,
     DuplicateAntiIndexError,
@@ -86,6 +87,15 @@ def test_parse_errors_carry_offsets(text, offset_hint):
     with pytest.raises(ParseError) as err:
         parse(text)
     assert err.value.offset == offset_hint
+
+
+@pytest.mark.parametrize("opener, closer", [("[", "]"), ("(", ")")])
+def test_nesting_depth_is_capped(opener, closer):
+    deepest = opener * MAX_DEPTH + "A" + closer * MAX_DEPTH
+    assert render(parse(deepest)) == deepest
+    with pytest.raises(ParseError) as info:
+        parse(opener + deepest + closer)
+    assert info.value.offset == MAX_DEPTH
 
 
 def test_render_examples():
