@@ -1,7 +1,7 @@
 """Command-line front end: expand, reduce, verify, bench.
 
 Exit codes: 0 success/verified, 1 identity violated, 2 expression or input
-error, 3 term budget exceeded, 4 unsupported parameter.
+error or an unwritable --record log, 3 term budget exceeded, 4 unsupported parameter.
 """
 
 import argparse
@@ -17,6 +17,7 @@ from .expand import (
     DEFAULT_TERM_BUDGET,
     TermBudgetExceeded,
     UnsupportedShapeError,
+    bracket_sizes,
     expand_expr,
     fast_profile,
     naive_term_count,
@@ -29,6 +30,7 @@ from .identities import (
     intercalation_profile,
     nested_shape,
     profile_auto,
+    require_printable,
     split_shape,
     verify_bremner,
     verify_decomposition,
@@ -193,6 +195,8 @@ def cmd_expand(args, config: RunConfig) -> int:
 
 def cmd_reduce(args, config: RunConfig) -> int:
     expr = parse(args.expr, roles=_parse_roles(args.role))
+    # the word count bounds every coefficient, since each word counts +1 or -1
+    require_printable(bracket_sizes(expr), "the word count")
     classes, used_path = profile_auto(expr, config.term_budget, config.threads, args.path)
     ordered = sorted(classes, key=word_sort_key)
     resolution = intercalation_profile(classes)
@@ -261,8 +265,12 @@ def cmd_verify(args, config: RunConfig) -> int:
         if report.witness is not None:
             print(f"witness: {report.witness}")
     if config.record and report.verified:
-        with open(config.record, "a", encoding="utf-8") as log:
-            log.write(json.dumps(doc) + "\n")
+        try:
+            with open(config.record, "a", encoding="utf-8") as log:
+                log.write(json.dumps(doc) + "\n")
+        except OSError as exc:
+            print(f"input error: cannot append to --record log: {exc}", file=sys.stderr)
+            return EXIT_INPUT
     return EXIT_OK if report.verified else EXIT_VIOLATED
 
 

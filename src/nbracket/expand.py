@@ -28,7 +28,7 @@ something.
 import os
 from concurrent.futures import ProcessPoolExecutor
 from itertools import permutations as iter_placements, product as iter_product
-from math import factorial, prod
+from math import factorial, lgamma, log, prod
 
 from .algebra import FreeElement, is_anti, merge_class_maps, reduce_terms
 from .permutations import parity, signed_perm_range
@@ -45,9 +45,19 @@ class UnsupportedShapeError(ValueError):
     """The fast route does not cover this nesting; use the oracle route."""
 
 
-def _check_budget(count, budget, label):
-    if count > budget:
-        shown = count if count.bit_length() <= 3000 else f"over 2^{count.bit_length() - 1}"
+def count_bits(sizes) -> float:
+    """Estimate of log2 of prod n!/k! over the (n, k) pairs of sizes.  Sizes
+    are capped at 2**53, whose factorial outgrows any budget or digit limit,
+    so lgamma stays finite."""
+    return sum(lgamma(min(n, 2**53) + 1) - lgamma(min(k, 2**53) + 1) for n, k in sizes) / log(2)
+
+
+def check_budget(sizes, budget, label):
+    """Raise TermBudgetExceeded when prod n!/k! over sizes exceeds budget; the
+    estimate settles far larger counts before any factorial is built."""
+    bits = count_bits(sizes)
+    if bits > max(budget.bit_length(), 3000) + 1 or _count(sizes) > budget:
+        shown = _count(sizes) if bits < 3000 else f"over 2^{int(bits) - 1}"
         raise TermBudgetExceeded(
             f"{label} needs {shown} words, exceeding the term budget of {budget}"
         )
@@ -65,27 +75,35 @@ def _child_nodes(node):
     return ()
 
 
-def _word_count(expr, arrangements):
-    """Words ``_terms`` yields when a bracket has arrangements(entries) orderings."""
+def bracket_sizes(expr, collapsed=False):
+    """One (n, k) pair per bracket of expr: n entries, k of them family atoms
+    whose orderings collapse (0 unless ``collapsed``).  The bracket gives
+    n!/k! orderings, so a route's word count is the product of n!/k!."""
     if isinstance(expr, Atom):
-        return 1
+        return []
     if not isinstance(expr, (Product, Bracket)):
         raise TypeError(f"not a bracket expression: {expr!r}")
-    count = arrangements(expr.entries) if isinstance(expr, Bracket) else 1
+    sizes = []
+    if isinstance(expr, Bracket):
+        atoms = sum(map(_is_family_atom, expr.entries)) if collapsed else 0
+        sizes.append((len(expr.entries), atoms))
     for kid in _child_nodes(expr):
-        count *= _word_count(kid, arrangements)
-    return count
+        sizes += bracket_sizes(kid, collapsed)
+    return sizes
+
+
+def _count(sizes):
+    return prod(prod(range(k + 1, n + 1)) for n, k in sizes)
 
 
 def naive_term_count(expr) -> int:
     """Words the literal expansion generates (factorial per bracket)."""
-    return _word_count(expr, lambda entries: factorial(len(entries)))
+    return _count(bracket_sizes(expr))
 
 
 def collapsed_term_count(expr) -> int:
     """Words the fast route generates once family-atom orderings collapse."""
-    return _word_count(expr, lambda entries: factorial(len(entries))
-                       // factorial(sum(map(_is_family_atom, entries))))
+    return _count(bracket_sizes(expr, collapsed=True))
 
 
 # ---------------------------------------------------------------------------
@@ -173,13 +191,15 @@ def expand_bracket(entries, budget=DEFAULT_TERM_BUDGET) -> FreeElement:
     lists = [_element_terms(e) for e in entries]
     if not lists:
         raise ValueError("bracket needs at least one entry")
-    _check_budget(factorial(len(lists)) * prod(map(len, lists)), budget, "bracket expansion")
+    # n! orderings, each once per choice of terms; (m, m - 1) stands for m terms
+    sizes = [(len(lists), 0)] + [(len(terms), len(terms) - 1) for terms in lists if terms]
+    check_budget(sizes, budget, "bracket expansion")
     return FreeElement((w, c) for c, w in _concat(lists, signed_perm_range(len(lists))))
 
 
 def expand_expr(expr, budget=DEFAULT_TERM_BUDGET) -> FreeElement:
     """Recursive literal expansion of a bracket expression."""
-    _check_budget(naive_term_count(expr), budget, "expansion")
+    check_budget(bracket_sizes(expr), budget, "expansion")
     return FreeElement((w, c) for c, w in _terms(expr, _literal_orderings))
 
 
@@ -203,7 +223,7 @@ def oracle_profile(expr, budget=DEFAULT_TERM_BUDGET, jobs=1):
     identical for any block layout.
     """
     validate_unique_anti(expr)
-    _check_budget(naive_term_count(expr), budget, "oracle expansion")
+    check_budget(bracket_sizes(expr), budget, "oracle expansion")
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1 and isinstance(expr, Bracket):
         total = factorial(len(expr.entries))
@@ -228,7 +248,7 @@ def fast_profile(expr, budget=DEFAULT_TERM_BUDGET):
     entries.
     """
     validate_unique_anti(expr)
-    _check_budget(collapsed_term_count(expr), budget, "fast expansion")
+    check_budget(bracket_sizes(expr, collapsed=True), budget, "fast expansion")
     return reduce_terms(_terms(expr, _fast_orderings))
 
 

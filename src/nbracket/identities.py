@@ -18,14 +18,16 @@ Covered identities, each reported through IdentityReport:
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lgamma, log
+from math import factorial, log10
 from time import perf_counter
 
 from .algebra import ANTI_SLOT, pattern_str, word_sort_key
 from .expand import (
     DEFAULT_TERM_BUDGET,
     UnsupportedShapeError,
+    check_budget,
     collapsed_term_count,
+    count_bits,
     fast_profile,
     naive_term_count,
     oracle_profile,
@@ -37,10 +39,6 @@ PROFILE_SIGN_CONVENTION = "(-1)^n"
 
 class UnsupportedParameter(ValueError):
     """The identity is not defined (or not budgeted) at this parameter."""
-
-
-class ProportionalityError(RuntimeError):
-    """No single constant relates the two profiles classwise."""
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +95,8 @@ class CoefficientProfile:
 
     @classmethod
     def closed_form(cls, L: int):
-        return cls(L, tuple(closed_form_multiplicity(n, L) for n in range(6 * L + 1)))
+        prefactor = multiplicity_prefactor(L)
+        return cls(L, tuple(prefactor * reduced_multiplicity(n, L) for n in range(6 * L + 1)))
 
     @classmethod
     def from_classes(cls, classes, L: int, fixed_name: str = "A"):
@@ -176,12 +175,12 @@ class IdentityReport:
         }
 
 
-def _require_printable(m, power, what):
-    """Reject a parameter whose report would hold about (m!)**power, an integer
-    too long for int-to-str conversion (a limit of 0, off, counts as 4300)."""
+def require_printable(sizes, what):
+    """Reject work whose report would hold about prod n!/k! over the (n, k)
+    sizes, an integer too long for int-to-str conversion (a limit of 0, off,
+    counts as 4300)."""
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    # m! has at least m digits for m >= 25, so capping m keeps lgamma finite
-    if power * lgamma(min(m, limit) + 1) / log(10) >= limit:
+    if count_bits(sizes) * log10(2) >= limit:
         raise UnsupportedParameter(
             f"{what} would exceed the {limit}-digit limit for printing integers"
         )
@@ -192,6 +191,52 @@ def coeff_json(value):
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else str(value)
     return value
+
+
+# ---------------------------------------------------------------------------
+# the relation core
+
+
+def relate(target, basis):
+    """Exact coefficients a with target = sum a_i basis_i, class by class.
+
+    Target and basis are class maps.  Their classes are eliminated one at a
+    time in ``word_sort_key`` order.  Returns ``(coefficients, None)``, the
+    minimum-norm solution when the basis is dependent, or ``(None, witness)``
+    at the first class that no combination of the basis matching the earlier
+    classes can match: ``{"pattern", "coefficient": the target's value,
+    "expected": the value the basis gives there}``.
+    """
+    n = len(basis)
+    pivots = {}  # pivot column -> reduced row: basis values, then the target's
+
+    def eliminate(row):
+        """Fold row into the reduced rows; return its residue if it has no pivot."""
+        for c, pivot_row in pivots.items():
+            if row[c]:
+                row = [x - row[c] * y for x, y in zip(row, pivot_row)]
+        c = next((c for c in range(n) if row[c]), None)
+        if c is None:
+            return row[n]
+        row = [x / row[c] for x in row]
+        for k, other in pivots.items():
+            if other[c]:
+                pivots[k] = [x - other[c] * y for x, y in zip(other, row)]
+        pivots[c] = row
+        return 0
+
+    for pattern in sorted(set(target).union(*basis), key=word_sort_key):
+        value = target.get(pattern, 0)
+        residue = eliminate([Fraction(b.get(pattern, 0)) for b in basis] + [Fraction(value)])
+        if residue:
+            return None, {"pattern": pattern_str(pattern), "coefficient": coeff_json(value),
+                          "expected": coeff_json(value - residue)}
+    # a dependent basis: the minimum-norm solution is orthogonal to the null space
+    nulls = [[-pivots[c][free] if c in pivots else Fraction(c == free) for c in range(n)]
+             for free in range(n) if free not in pivots]
+    for null in nulls:
+        eliminate(null + [Fraction(0)])
+    return [pivots[c][n] for c in range(n)], None
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +299,12 @@ def profile_auto(expr, budget, jobs=1, path="auto"):
     return oracle_profile(expr, budget=budget, jobs=jobs), "oracle"
 
 
+def _relate_exprs(target, basis, budget, jobs, path="auto"):
+    """``relate`` on the profiles of bracket expressions."""
+    return relate(profile_auto(target, budget, jobs, path)[0],
+                  [profile_auto(expr, budget, jobs, path)[0] for expr in basis])
+
+
 # ---------------------------------------------------------------------------
 # verifiers
 
@@ -266,25 +317,19 @@ def verify_even_gji(N: int, budget=DEFAULT_TERM_BUDGET, jobs=1) -> IdentityRepor
     """
     if not isinstance(N, int) or N < 2:
         raise UnsupportedParameter(f"bracket size must be an integer >= 2, got {N}")
+    # (N!)^2 literal words; settled before the 2N atoms are built
+    check_budget([(N, 0), (N, 0)], budget, "oracle expansion")
     expr = double_action_expr(N)
-    terms = naive_term_count(expr)
     start = perf_counter()
     classes = oracle_profile(expr, budget=budget, jobs=jobs)
+    _, witness = relate(classes, [])
     elapsed = (perf_counter() - start) * 1e3
-    witness = None
-    if classes:
-        pattern = min(classes, key=word_sort_key)
-        witness = {
-            "pattern": pattern_str(pattern),
-            "coefficient": coeff_json(classes[pattern]),
-            "expected": 0,
-        }
     return IdentityReport(
         identity="even",
         params={"N": N},
-        status="verified" if not classes else "violated",
+        status="verified" if witness is None else "violated",
         witness=witness,
-        terms=terms,
+        terms=naive_term_count(expr),
         details={"surviving_classes": len(classes)},
         elapsed_ms=elapsed,
     )
@@ -295,48 +340,32 @@ def _require_odd_size(N):
         raise UnsupportedParameter(f"odd bracket size required, got {N}")
 
 
-def odd_reduction_constant(N: int, budget=DEFAULT_TERM_BUDGET, jobs=1, path="fast") -> Fraction:
+def odd_reduction_constant(N: int, budget=DEFAULT_TERM_BUDGET, jobs=1,
+                           path="fast") -> Fraction | None:
     """Constant k with profile(double action) = k * profile(flat bracket).
 
-    Defined for odd N.  Raises ProportionalityError if no single k fits every
-    class, which would falsify the reduction claim.  ``path`` is as for
-    ``profile_auto``.
+    Defined for odd N.  Returns None if no single k fits every class, which
+    would falsify the reduction claim.  ``path`` is as for ``profile_auto``.
     """
     _require_odd_size(N)
-    double, _ = profile_auto(double_action_expr(N), budget, jobs, path)
-    flat, _ = profile_auto(flat_bracket_expr(2 * N - 1), budget, jobs, path)
-    if set(double) != set(flat):
-        raise ProportionalityError("profiles live on different classes")
-    ratio = None
-    for pattern in flat:
-        k = Fraction(double[pattern]) / Fraction(flat[pattern])
-        if ratio is None:
-            ratio = k
-        elif k != ratio:
-            raise ProportionalityError(
-                f"class {pattern_str(pattern)} gives {k}, earlier classes gave {ratio}"
-            )
-    return ratio
+    double, flat = double_action_expr(N), flat_bracket_expr(2 * N - 1)
+    coefficients, _ = _relate_exprs(double, [flat], budget, jobs, path)
+    return None if coefficients is None else coefficients[0]
 
 
 def verify_odd_reduction(N: int, budget=DEFAULT_TERM_BUDGET, jobs=1) -> IdentityReport:
     _require_odd_size(N)
-    _require_printable(2 * N - 1, 1, "the word count (2N-1)!")
-    terms = naive_term_count(double_action_expr(N)) + factorial(2 * N - 1)
+    require_printable([(2 * N - 1, 0)], "the word count (2N-1)!")
+    double, flat = double_action_expr(N), flat_bracket_expr(2 * N - 1)
+    terms = naive_term_count(double) + naive_term_count(flat)
     start = perf_counter()
-    try:
-        k = odd_reduction_constant(N, budget=budget, jobs=jobs)
-        witness = None
-        status = "verified" if k else "violated"
-    except ProportionalityError as exc:
-        k = None
-        witness = {"reason": str(exc)}
-        status = "violated"
+    coefficients, witness = _relate_exprs(double, [flat], budget, jobs, "fast")
+    k = None if coefficients is None else coefficients[0]
     elapsed = (perf_counter() - start) * 1e3
     return IdentityReport(
         identity="odd-reduce",
         params={"N": N},
-        status=status,
+        status="verified" if k else "violated",
         witness=witness,
         terms=terms,
         details={"constant": None if k is None else str(k)},
@@ -361,9 +390,9 @@ def verify_bremner(L: int, budget=DEFAULT_TERM_BUDGET) -> IdentityReport:
     """Compare both triple-nesting profiles with each other and the closed form."""
     if not isinstance(L, int) or L < 1:
         raise UnsupportedParameter(f"half-order must be an integer >= 1, got {L}")
-    closed = CoefficientProfile.closed_form(L)
     start = perf_counter()
     side1, side2 = bremner_profiles(L, budget=budget)
+    closed = CoefficientProfile.closed_form(L)
     terms = collapsed_term_count(split_shape(L)) + collapsed_term_count(nested_shape(L))
     witness = None
     for n in range(closed.width):
@@ -397,7 +426,7 @@ def check_sums(L: int) -> IdentityReport:
     multiplicities to ((2L+1)!)^3."""
     if not isinstance(L, int) or L < 1:
         raise UnsupportedParameter(f"half-order must be an integer >= 1, got {L}")
-    _require_printable(2 * L + 1, 3, "the multiplicity sum ((2L+1)!)^3")
+    require_printable([(2 * L + 1, 0)] * 3, "the multiplicity sum ((2L+1)!)^3")
     start = perf_counter()
     reduced_sum = sum(reduced_multiplicity(n, L) for n in range(6 * L + 1))
     full_sum = sum(closed_form_multiplicity(n, L) for n in range(6 * L + 1))
@@ -427,56 +456,6 @@ def check_sums(L: int) -> IdentityReport:
 # exact decomposition
 
 
-def _solve_exact(rows, rhs):
-    """Solution of rows * x = rhs over the rationals, or None if inconsistent.
-
-    Underdetermined systems return the minimum-norm solution (free components
-    chosen by projecting the particular solution onto the null space).
-    """
-    m = len(rows)
-    ncols = len(rows[0]) if m else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, m) if aug[i][c]), None)
-        if pivot_row is None:
-            continue
-        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        pivot = aug[r][c]
-        aug[r] = [x / pivot for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    if any(aug[i][ncols] for i in range(r, m)):
-        return None
-    solution = [Fraction(0)] * ncols
-    for row_i, c in enumerate(pivots):
-        solution[c] = aug[row_i][ncols]
-    free = [c for c in range(ncols) if c not in pivots]
-    if not free:
-        return solution
-    null_basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for row_i, c in enumerate(pivots):
-            v[c] = -aug[row_i][fc]
-        null_basis.append(v)
-    k = len(null_basis)
-    gram = [[sum(a * b for a, b in zip(null_basis[i], null_basis[j])) for j in range(k)]
-            for i in range(k)]
-    gram_rhs = [-sum(a * b for a, b in zip(null_basis[i], solution)) for i in range(k)]
-    shift = _solve_exact(gram, gram_rhs)
-    return [solution[c] + sum(shift[t] * null_basis[t][c] for t in range(k))
-            for c in range(ncols)]
-
-
 def decompose(target, basis, budget=DEFAULT_TERM_BUDGET, jobs=1):
     """Exact rationals a_i with profile(target) = sum a_i profile(basis_i).
 
@@ -489,15 +468,7 @@ def decompose(target, basis, budget=DEFAULT_TERM_BUDGET, jobs=1):
             raise ValueError(
                 f"basis entry {render(expr)} does not use the target's family indices"
             )
-    target_profile, _ = profile_auto(target, budget, jobs)
-    basis_profiles = [profile_auto(expr, budget, jobs)[0] for expr in basis]
-    classes = set(target_profile)
-    for p in basis_profiles:
-        classes |= set(p)
-    ordered = sorted(classes, key=word_sort_key)
-    rows = [[p.get(pattern, 0) for p in basis_profiles] for pattern in ordered]
-    rhs = [target_profile.get(pattern, 0) for pattern in ordered]
-    return _solve_exact(rows, rhs)
+    return _relate_exprs(target, basis, budget, jobs)[0]
 
 
 def verify_decomposition(L: int, budget=DEFAULT_TERM_BUDGET, jobs=1) -> IdentityReport:
@@ -506,9 +477,8 @@ def verify_decomposition(L: int, budget=DEFAULT_TERM_BUDGET, jobs=1) -> Identity
         raise UnsupportedParameter(f"half-order must be an integer >= 1, got {L}")
     target = decomposition_target(L)
     basis = decomposition_basis(L)
-    terms = collapsed_term_count(target) + sum(collapsed_term_count(b) for b in basis)
     start = perf_counter()
-    coefficients = decompose(target, basis, budget=budget, jobs=jobs)
+    coefficients, witness = _relate_exprs(target, basis, budget, jobs)
     elapsed = (perf_counter() - start) * 1e3
     details = {
         "target": render(target),
@@ -520,8 +490,8 @@ def verify_decomposition(L: int, budget=DEFAULT_TERM_BUDGET, jobs=1) -> Identity
         identity="decomp",
         params={"L": L},
         status="verified" if coefficients is not None else "violated",
-        witness=None if coefficients is not None else {"reason": "target outside basis span"},
-        terms=terms,
+        witness=witness,
+        terms=collapsed_term_count(target) + sum(collapsed_term_count(b) for b in basis),
         details=details,
         elapsed_ms=elapsed,
     )

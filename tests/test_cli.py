@@ -141,6 +141,12 @@ def test_budget_exit_code(capsys):
     # (1000!)^2 words: the message abbreviates a count too long to print
     code, _, err = run(capsys, "verify", "even", "1000")
     assert code == 3 and "over 2^" in err
+    # the budget is settled before any factorial-sized count or closed form is built
+    for argv in (("even", "1000000"), ("bremner", "2000")):
+        start = perf_counter()
+        code, out, err = run(capsys, "verify", *argv)
+        assert perf_counter() - start < 1, argv
+        assert code == 3 and out == "" and err.startswith("budget error:"), argv
 
 
 def test_violated_exit_code(capsys):
@@ -166,6 +172,10 @@ def test_unsupported_parameter_exit_code(capsys):
         assert perf_counter() - start < 1, argv
         assert code == 4, argv
         assert out == "" and err.startswith("unsupported:"), argv
+    # 1700! words: the one class's coefficient (text) and terms (json) are 1700!
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "reduce", WIDE_FLAT_BRACKET, "--format", fmt)
+        assert code == 4 and out == "" and err.startswith("unsupported:"), fmt
     code, doc = run_json(capsys, "verify", "sums", "300", "--format", "json")
     assert code == 0 and len(doc["details"]["multiplicity_sum"]) == 4233
 
@@ -182,9 +192,13 @@ commands = st.one_of(
 )
 
 
+WIDE_FLAT_BRACKET = "[" + " ".join(f"b{i}" for i in range(1, 1701)) + "]"
+
+
 @settings(max_examples=150, deadline=None)
 @given(commands, st.sampled_from(("text", "json", "latex")))
 @example(("verify", "sums", "320"), "text")
+@example(("reduce", WIDE_FLAT_BRACKET), "json")
 def test_cli_exits_with_a_documented_code(command, fmt):
     code = _cli_exit_code([*command, "--format", fmt, "--budget", "10000"])
     if command[:2] == ("verify", "even") and int(command[2]) % 2:
@@ -209,6 +223,13 @@ def test_record_appends_verified_reports(capsys, tmp_path):
     lines = [json.loads(line) for line in log.read_text().splitlines()]
     assert [doc["identity"] for doc in lines] == ["sums", "bremner"]
     assert all(doc["status"] == "verified" for doc in lines)
+
+
+def test_record_into_an_unwritable_path_is_an_input_error(capsys, tmp_path):
+    for path in (tmp_path / "missing" / "results.ndjson", tmp_path):
+        code, out, err = run(capsys, "verify", "sums", "2", "--record", str(path))
+        assert code == 2, path
+        assert "verified" in out and err.startswith("input error:"), path
 
 
 def test_thread_count_does_not_change_output(capsys):

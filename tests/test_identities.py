@@ -19,6 +19,7 @@ from nbracket.identities import (
     nested_shape,
     odd_reduction_constant,
     reduced_multiplicity,
+    relate,
     split_shape,
     verify_bremner,
     verify_decomposition,
@@ -244,6 +245,71 @@ def test_verify_decomposition_reports():
     report2 = verify_decomposition(2)
     assert report2.verified
     assert report2.details["coefficients"] == ["1/2772", "-3/10"]
+
+
+# ---------------------------------------------------------------------------
+# the relation core
+
+P1, P2, P3, P4 = ("A", 0, 0), (0, "A", 0), (0, 0, "A"), (0, 0, 0)
+
+
+def test_relate_with_an_empty_basis_witnesses_the_first_class():
+    assert relate({}, []) == ([], None)
+    # classes are taken in word_sort_key order, not in insertion order
+    assert relate({P3: 5, P2: -3}, []) == (
+        None, {"pattern": "b* A b*", "coefficient": -3, "expected": 0})
+
+
+def test_relate_witnesses_the_first_class_no_combination_matches():
+    basis = [{P1: 1, P3: 1}, {P2: 1, P3: 1}]
+    assert relate({P1: 1, P2: 2, P3: 3}, basis) == ([1, 2], None)
+    # P1 and P2 fix both coefficients, so the basis gives 3 at P3; P4 is never reached
+    coefficients, witness = relate({P1: 1, P2: 2, P3: 4, P4: 9}, basis)
+    assert coefficients is None
+    assert witness == {"pattern": "b* b* A", "coefficient": 4, "expected": 3}
+    # a class missing from the basis is matched only by a zero target there
+    _, witness = relate({P1: Fraction(1, 2), P4: 1}, [{P1: 1}])
+    assert witness == {"pattern": "b* b* b*", "coefficient": 1, "expected": 0}
+    _, witness = relate({P1: 1, P2: 1}, [{P1: 2, P2: 1}])
+    assert witness == {"pattern": "b* A b*", "coefficient": 1, "expected": "1/2"}
+
+
+def test_relate_gives_the_minimum_norm_solution_of_a_dependent_basis():
+    assert relate({P1: 5}, [{P1: 1}, {P1: 2}]) == ([1, 2], None)
+    coefficients, _ = relate({P1: 2, P2: 2, P3: 3}, [{P1: 1, P2: 1}, {P3: 1}, {P1: 1, P2: 1}])
+    assert coefficients == [1, 3, 1]
+
+
+def _perturb_profile(monkeypatch, victim, extra):
+    """Make profile_auto add the class map extra to the profile of victim."""
+    import nbracket.identities as identities
+
+    true_profile = identities.profile_auto
+
+    def perturbed(expr, *args, **kwargs):
+        classes, route = true_profile(expr, *args, **kwargs)
+        if expr == victim:
+            classes = {p: classes.get(p, 0) + extra.get(p, 0) for p in set(classes) | set(extra)}
+        return classes, route
+
+    monkeypatch.setattr(identities, "profile_auto", perturbed)
+
+
+def test_violated_odd_reduction_report_carries_the_class_witness(monkeypatch):
+    _perturb_profile(monkeypatch, double_action_expr(3), {("Z",): 1})
+    report = verify_odd_reduction(3)
+    assert report.status == "violated"
+    assert report.details["constant"] is None
+    assert report.witness == {"pattern": "Z", "coefficient": 1, "expected": 0}
+
+
+def test_violated_decomposition_report_carries_the_class_witness(monkeypatch):
+    last = (0,) * 6 + ("A",)
+    _perturb_profile(monkeypatch, decomposition_target(1), {last: 1})
+    report = verify_decomposition(1)
+    assert report.status == "violated"
+    assert report.details["coefficients"] is None
+    assert report.witness == {"pattern": "b* b* b* b* b* b* A", "coefficient": 25, "expected": 24}
 
 
 # ---------------------------------------------------------------------------
