@@ -1,13 +1,15 @@
 """Command-line front end: expand, reduce, verify, bench.
 
 Exit codes: 0 success/verified, 1 identity violated, 2 expression or input
-error or an unwritable --record log, 3 term budget exceeded, 4 unsupported parameter.
+error or an unwritable --record log, 3 term budget exceeded, 4 unsupported parameter,
+5 internal error (a bug; the traceback goes to stderr).
 """
 
 import argparse
 import json
 import os
 import sys
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from time import perf_counter
@@ -44,6 +46,7 @@ EXIT_VIOLATED = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_PARAM = 4
+EXIT_INTERNAL = 5
 
 IDENTITIES = ("even", "odd-reduce", "bremner", "sums", "decomp")
 
@@ -339,7 +342,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except DuplicateAntiIndexError as exc:
+    except (DuplicateAntiIndexError, argparse.ArgumentTypeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except TermBudgetExceeded as exc:
@@ -348,6 +351,9 @@ def main(argv=None) -> int:
     except (UnsupportedParameter, UnsupportedShapeError) as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_PARAM
+    except Exception:  # a bug, never reported as 1, "identity violated"
+        print("internal error:", traceback.format_exc(), file=sys.stderr, end="")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,36 +1,35 @@
 """Expansion of bracket expressions into canonical-class profiles.
 
-One kernel, two ordering sources.  ``_concat`` is the only place words are
-built: for each signed ordering of a bracket's entries, and each choice of
-one term per entry, it yields the signed concatenation.  ``_terms`` applies
-it recursively, a product being a bracket with the single identity ordering.
-The two routes differ only in where a bracket's orderings come from, and they
-must agree wherever both run.
+The *oracle* is literal.  ``_concat`` is the only place words are built: for
+each signed ordering of a bracket's entries, and each choice of one term per
+entry, it yields the signed concatenation; ``_terms`` applies it
+recursively, a product being a bracket with the single identity ordering.
+The oracle takes every ordering, ``signed_perm_range``, and streams the root
+bracket's words straight into the canonical reduction, so memory stays
+bounded by the handful of classes even when the word count runs to millions.
+The root's orderings can be partitioned into lexicographic-rank blocks and
+merged additively, which is how multi-process runs work.
 
-The *oracle* takes every ordering, ``signed_perm_range``, so its words are
-the literal expansion.  The root bracket's words stream straight into the
-canonical reduction, so memory stays bounded by the handful of classes even
-when the word count runs to millions.  The root's orderings can be
-partitioned into lexicographic-rank blocks and merged additively, which is how
-multi-process runs work; exact coefficients make the merge order irrelevant.
-
-The *fast* route applies antisymmetry once.  ``_collapsed_orderings`` keeps
-a bracket's family atoms in their original order and enumerates only the
-placements of the remaining distinguished entries, each with multiplicity
-factorial(#atoms): the orderings that merely shuffle the atoms are congruent
-to the kept one, because those indices occur nowhere else.  A bracket of
-family atoms alone thus has one ordering, weighted factorial(arity).  This
-turns a factorial word count into a small polynomial one.  The oracle never
-uses the shortcut, which is what makes the cross-check between routes mean
-something.
+The *fast* route builds no word.  Every word of a sub-expression holds its
+family indices once each, so ``_compose`` describes each sub-expression,
+bottom-up, by its class map, its sorted family indices and its width.  A
+bracket sums its entries' class maps concatenated in each placement of its
+other entries among its family atoms, which keep their order, with weight
+factorial(#atoms).  The sign of the identity order is the parity of the
+entries' sorted index runs concatenated; swapping adjacent entries X and Y
+with d_X and d_Y family indices multiplies a term by -(-1)^(d_X d_Y), so
+family atoms commute and an entry with even d flips the sign for each atom
+it passes.  Classes are keyed sparsely by their (position, fixed symbol)
+pairs and made dense patterns only at the root.  The oracle never uses these
+shortcuts, which is what makes the cross-check between routes mean something.
 """
 
 import os
 from concurrent.futures import ProcessPoolExecutor
 from itertools import permutations as iter_placements, product as iter_product
-from math import factorial, lgamma, log, prod
+from math import factorial, lgamma, log, log2, prod
 
-from .algebra import FreeElement, is_anti, merge_class_maps, reduce_terms
+from .algebra import ANTI_SLOT, FreeElement, is_anti, merge_class_maps, reduce_terms
 from .permutations import parity, signed_perm_range
 from .syntax import Atom, Bracket, Product, validate_unique_anti
 
@@ -46,18 +45,19 @@ class UnsupportedShapeError(ValueError):
 
 
 def count_bits(sizes) -> float:
-    """Estimate of log2 of prod n!/k! over the (n, k) pairs of sizes.  Sizes
-    are capped at 2**53, whose factorial outgrows any budget or digit limit,
-    so lgamma stays finite."""
-    return sum(lgamma(min(n, 2**53) + 1) - lgamma(min(k, 2**53) + 1) for n, k in sizes) / log(2)
+    """Estimate of log2 of prod n!/k! over the (n, k) pairs of sizes.  From
+    n = 2**53 on, where lgamma cannot tell n! from k!, it is (n - k) log2 n,
+    with n - k capped at 2**53 so the estimate stays finite."""
+    return sum((lgamma(n + 1) - lgamma(k + 1)) / log(2) if n < 2**53
+               else min(n - k, 2**53) * log2(n) for n, k in sizes)
 
 
 def check_budget(sizes, budget, label):
     """Raise TermBudgetExceeded when prod n!/k! over sizes exceeds budget; the
     estimate settles far larger counts before any factorial is built."""
     bits = count_bits(sizes)
-    if bits > max(budget.bit_length(), 3000) + 1 or _count(sizes) > budget:
-        shown = _count(sizes) if bits < 3000 else f"over 2^{int(bits) - 1}"
+    if bits > max(budget.bit_length(), 3000) + 1 or word_count(sizes) > budget:
+        shown = word_count(sizes) if bits < 3000 else f"over 2^{int(bits) - 1}"
         raise TermBudgetExceeded(
             f"{label} needs {shown} words, exceeding the term budget of {budget}"
         )
@@ -92,18 +92,18 @@ def bracket_sizes(expr, collapsed=False):
     return sizes
 
 
-def _count(sizes):
+def word_count(sizes):
     return prod(prod(range(k + 1, n + 1)) for n, k in sizes)
 
 
 def naive_term_count(expr) -> int:
     """Words the literal expansion generates (factorial per bracket)."""
-    return _count(bracket_sizes(expr))
+    return word_count(bracket_sizes(expr))
 
 
 def collapsed_term_count(expr) -> int:
-    """Words the fast route generates once family-atom orderings collapse."""
-    return _count(bracket_sizes(expr, collapsed=True))
+    """Words left once family-atom orderings collapse; the fast route's budget."""
+    return word_count(bracket_sizes(expr, collapsed=True))
 
 
 # ---------------------------------------------------------------------------
@@ -163,15 +163,6 @@ def _collapsed_orderings(total, special_pos):
         fill = iter(atom_pos)
         order = [next(fill) if i is None else i for i in order]
         yield multiplicity * parity(order), order
-
-
-def _fast_orderings(entries):
-    special_pos = [i for i, e in enumerate(entries) if not _is_family_atom(e)]
-    if sum(not isinstance(entries[i], Atom) for i in special_pos) > 2:
-        raise UnsupportedShapeError(
-            "bracket nests more than two composite entries; use the oracle route"
-        )
-    return _collapsed_orderings(len(entries), special_pos)
 
 
 def _element_terms(element):
@@ -240,16 +231,95 @@ def oracle_profile(expr, budget=DEFAULT_TERM_BUDGET, jobs=1):
 # fast route
 
 
-def fast_profile(expr, budget=DEFAULT_TERM_BUDGET):
-    """Profile via collapsed family-atom orderings.
+def _require_supported(expr):
+    """Refuse a bracket that nests more than two composite entries."""
+    composites = [kid for kid in _child_nodes(expr) if not isinstance(kid, Atom)]
+    if isinstance(expr, Bracket) and len(composites) > 2:
+        raise UnsupportedShapeError(
+            "bracket nests more than two composite entries; use the oracle route"
+        )
+    for kid in composites:
+        _require_supported(kid)
 
-    Equals oracle_profile on every supported shape; raises
-    UnsupportedShapeError when a bracket nests more than two composite
+
+def _compose(expr):
+    """(class map, sorted family indices, width) of expr, keys sparse.
+
+    A product is the identity placement with weight 1.  Entries without fixed
+    symbols, whose single class is (), enter as scalars, so the placements
+    are summed by the offsets of the other entries alone.
+    """
+    if isinstance(expr, Atom):
+        if is_anti(expr.symbol):
+            return {(): 1}, (expr.symbol,), 1
+        return {((0, expr.symbol),): 1}, (), 1
+    kids = _child_nodes(expr)
+    others, widths, even, keyed, indices = [], [], [], [], []
+    scale = 1  # the entries without fixed symbols are scalars
+    for pos, kid in enumerate(kids):
+        if _is_family_atom(kid):
+            indices.append(kid.symbol)
+            continue
+        classes, kid_indices, size = _compose(kid)
+        if () in classes:
+            scale *= classes[()]
+        else:
+            keyed.append((len(others), classes))
+        others.append(pos)
+        widths.append(size)
+        even.append(len(kid_indices) % 2 == 0)
+        indices += kid_indices
+    width = len(kids) - len(others) + sum(widths)
+    run = sorted(indices)
+    scale *= parity(indices)  # the identity order's sign
+    if isinstance(expr, Bracket):
+        scale *= factorial(len(kids) - len(others))
+        placements = iter_placements(range(len(kids)), len(others))
+    else:
+        placements = (others,)
+    if not others:  # family atoms alone: one placement
+        return {(): scale}, run, width
+    # moving X past Y multiplies by -(-1)^(d_X d_Y): d counts family indices,
+    # so atoms commute and an even-d entry flips the sign per atom it passes
+    signs = {}
+    for placement in placements:
+        flips = 0
+        offsets = []
+        for i, p in enumerate(placement):
+            atoms, offset = p, 0  # atoms and the others' widths before entry i
+            for j, q in enumerate(placement):
+                if q < p:
+                    atoms -= 1
+                    offset += widths[j]
+                    flips += j > i and (even[i] or even[j])
+            if even[i]:
+                flips += atoms - others[i] + i
+            offsets.append(offset + atoms)
+        shift = tuple([offsets[j] for j, _ in keyed])
+        signs[shift] = signs.get(shift, 0) + (-scale if flips & 1 else scale)
+    out = {}
+    for shift, coeff in signs.items():
+        terms = [((), coeff)]
+        for off, (_, classes) in sorted(zip(shift, keyed)):
+            terms = [(key + tuple([(p + off, s) for p, s in k]), value * c)
+                     for key, value in terms for k, c in classes.items()]
+        for key, value in terms:
+            out[key] = out.get(key, 0) + value
+    return {k: c for k, c in out.items() if c}, run, width
+
+
+def fast_profile(expr, budget=DEFAULT_TERM_BUDGET):
+    """Profile by composing class maps bottom-up; equals oracle_profile.
+
+    Raises UnsupportedShapeError when a bracket nests more than two composite
     entries.
     """
     validate_unique_anti(expr)
     check_budget(bracket_sizes(expr, collapsed=True), budget, "fast expansion")
-    return reduce_terms(_terms(expr, _fast_orderings))
+    _require_supported(expr)
+    classes, _, width = _compose(expr)
+    return {tuple(dict(key).get(pos, ANTI_SLOT) for pos in range(width)): coeff
+            for key, coeff in classes.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,11 @@ from .expand import (
     DEFAULT_TERM_BUDGET,
     UnsupportedShapeError,
     check_budget,
-    collapsed_term_count,
     count_bits,
     fast_profile,
     naive_term_count,
     oracle_profile,
+    word_count,
 )
 from .syntax import Atom, Bracket, anti_indices, render
 
@@ -287,6 +287,14 @@ def decomposition_basis(L: int) -> list:
     return [flat, paired]
 
 
+def _collapsed_sizes(L: int):
+    """Collapsed (n, k) bracket sizes of split_shape(L), nested_shape(L) and
+    each of decomposition_basis(L), worked out without building 6L atoms."""
+    n = 2 * L + 1
+    split, nested = [(n, n - 2), (n, n - 1), (n, n)], [(n, n - 1), (n, n - 2), (n, n)]
+    return split, nested, [[(6 * L + 1, 6 * L)], [(n, n - 3), (n, n), (n, n)]]
+
+
 def profile_auto(expr, budget, jobs=1, path="auto"):
     """``(classes, route)``: the fast route, falling back to the oracle on
     shapes it does not cover unless ``path`` names one route."""
@@ -390,10 +398,13 @@ def verify_bremner(L: int, budget=DEFAULT_TERM_BUDGET) -> IdentityReport:
     """Compare both triple-nesting profiles with each other and the closed form."""
     if not isinstance(L, int) or L < 1:
         raise UnsupportedParameter(f"half-order must be an integer >= 1, got {L}")
+    split, nested, _ = _collapsed_sizes(L)
+    for sizes in (split, nested):
+        check_budget(sizes, budget, "fast expansion")
     start = perf_counter()
     side1, side2 = bremner_profiles(L, budget=budget)
     closed = CoefficientProfile.closed_form(L)
-    terms = collapsed_term_count(split_shape(L)) + collapsed_term_count(nested_shape(L))
+    terms = word_count(split) + word_count(nested)
     witness = None
     for n in range(closed.width):
         values = (side1.m[n], side2.m[n], closed.m[n])
@@ -475,6 +486,9 @@ def verify_decomposition(L: int, budget=DEFAULT_TERM_BUDGET, jobs=1) -> Identity
     """Decompose the nested shape over the flat bracket and the paired shape."""
     if not isinstance(L, int) or L < 1:
         raise UnsupportedParameter(f"half-order must be an integer >= 1, got {L}")
+    _, target_sizes, basis_sizes = _collapsed_sizes(L)
+    for sizes in [target_sizes] + basis_sizes:
+        check_budget(sizes, budget, "fast expansion")
     target = decomposition_target(L)
     basis = decomposition_basis(L)
     start = perf_counter()
@@ -491,7 +505,7 @@ def verify_decomposition(L: int, budget=DEFAULT_TERM_BUDGET, jobs=1) -> Identity
         params={"L": L},
         status="verified" if coefficients is not None else "violated",
         witness=witness,
-        terms=collapsed_term_count(target) + sum(collapsed_term_count(b) for b in basis),
+        terms=word_count(target_sizes) + sum(map(word_count, basis_sizes)),
         details=details,
         elapsed_ms=elapsed,
     )

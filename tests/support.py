@@ -52,3 +52,36 @@ def random_ast(rng, depth=3):
         return Atom(rng.choice("ABCDXYZ"))
     children = tuple(random_ast(rng, depth - 1) for _ in range(rng.randint(1, 4)))
     return Product(children) if rng.random() < 0.5 else Bracket(children)
+
+
+def random_composite_shape(rng, max_naive=20_000, min_naive=24):
+    """A random supported nesting whose products hold brackets and fixed atoms.
+
+    ``random_supported_shape`` builds products of family atoms only.  Here a
+    product takes any factors, composite ones included, and a fixed symbol
+    may repeat; brackets still hold at most two composite entries.
+    """
+    while True:
+        expr = _any_bracket(rng, count(1), depth=2)
+        if min_naive <= naive_term_count(expr) <= max_naive:
+            return expr
+
+
+def _any_bracket(rng, counter, depth):
+    entries = []
+    for _ in range(rng.randint(2, 5)):
+        may_nest = sum(not isinstance(e, Atom) for e in entries) < 2
+        entries.append(_any_node(rng, counter, depth if may_nest else 0))
+    return Bracket(tuple(entries))
+
+
+def _any_node(rng, counter, depth):
+    roll = rng.random()
+    if depth and roll < 0.25:
+        return _any_bracket(rng, counter, depth - 1)
+    if depth and roll < 0.5:
+        factors = tuple(_any_node(rng, counter, depth - 1) for _ in range(rng.randint(1, 3)))
+        return Product(factors)
+    if roll < 0.6:
+        return Atom(rng.choice(FIXED_POOL))
+    return Atom(next(counter))

@@ -142,11 +142,30 @@ def test_budget_exit_code(capsys):
     code, _, err = run(capsys, "verify", "even", "1000")
     assert code == 3 and "over 2^" in err
     # the budget is settled before any factorial-sized count or closed form is built
-    for argv in (("even", "1000000"), ("bremner", "2000")):
+    for argv in (("even", "1000000"), ("bremner", "2000"),
+                 ("bremner", str(10**40)), ("decomp", str(10**30)),
+                 ("bremner", "9" * 1500), ("decomp", "9" * 1500)):
         start = perf_counter()
         code, out, err = run(capsys, "verify", *argv)
         assert perf_counter() - start < 1, argv
         assert code == 3 and out == "" and err.startswith("budget error:"), argv
+
+
+def test_malformed_role_is_an_input_error(capsys):
+    code, _, err = run(capsys, "reduce", "[a b]", "--role", "zz=fixed")
+    assert code == 2 and err.startswith("input error:")
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    import nbracket.cli as cli
+
+    def broken(args, config):
+        raise RuntimeError("simulated bug")
+
+    monkeypatch.setattr(cli, "cmd_reduce", broken)
+    code, out, err = run(capsys, "reduce", "[A b1]")
+    assert code == 5 and out == ""
+    assert err.startswith("internal error:") and "RuntimeError: simulated bug" in err
 
 
 def test_violated_exit_code(capsys):

@@ -19,7 +19,7 @@ from nbracket.expand import (
 )
 from nbracket.syntax import Atom, Bracket, Product, parse
 
-from support import random_supported_shape
+from support import random_composite_shape, random_supported_shape
 
 A = FreeElement.from_symbol("A")
 Z = FreeElement.from_symbol("Z")
@@ -261,6 +261,9 @@ def test_fast_profile_matches_oracle_on_named_shapes():
         "[[Abc][def]g]",
         "[A [bcd] [efg]]",
         "[(AD) b1 b2]",
+        "[([b1 b2] [A b3]) b4]",
+        "[(b2 A b1) [Z b3] b4 b5]",
+        "[A B C b1 b2]",
     ):
         expr = parse(text)
         assert fast_profile(expr) == oracle_profile(expr), text
@@ -271,6 +274,25 @@ def test_fast_profile_matches_oracle_on_random_shapes():
     for _ in range(25):
         expr = random_supported_shape(rng, max_naive=50_000)
         assert fast_profile(expr) == oracle_profile(expr), expr
+
+
+def test_fast_profile_matches_oracle_on_composite_products():
+    # products of brackets, like ([b1 b2] [A b3]), and fixed atoms inside
+    # products, which random_supported_shape never draws
+    rng = random.Random(20261018)
+    shapes = [random_composite_shape(rng, max_naive=20_000) for _ in range(200)]
+    products = [f for expr in shapes for f in _nodes(expr) if isinstance(f, Product)]
+    assert sum(any(isinstance(x, Bracket) for x in f.factors) for f in products) >= 50
+    assert sum(any(isinstance(x, Atom) and isinstance(x.symbol, str) for x in f.factors)
+               for f in products) >= 100
+    for expr in shapes:
+        assert fast_profile(expr) == oracle_profile(expr), expr
+
+
+def _nodes(expr):
+    yield expr
+    for kid in getattr(expr, "factors", getattr(expr, "entries", ())):
+        yield from _nodes(kid)
 
 
 def test_moving_an_inner_bracket_to_a_trailing_product():
@@ -326,15 +348,18 @@ def test_fast_profile_rejects_wide_nestings():
 
 
 def test_kernel_generates_exactly_the_counted_words():
-    # the budget gates rest on these counters: each must equal the number of
-    # words the kernel actually yields on its route
+    # the budget gates rest on these counters: the literal count must equal
+    # the number of words the oracle's kernel yields, and the fast route, which
+    # builds no word, must pass a budget of its collapsed count and no less
     rng = random.Random(4417)
     for _ in range(25):
         expr = random_supported_shape(rng, max_naive=20_000)
         literal = sum(1 for _ in expand._terms(expr, expand._literal_orderings))
         assert literal == naive_term_count(expr), expr
-        collapsed = sum(1 for _ in expand._terms(expr, expand._fast_orderings))
-        assert collapsed == collapsed_term_count(expr), expr
+        collapsed = collapsed_term_count(expr)
+        assert fast_profile(expr, budget=collapsed) == oracle_profile(expr), expr
+        with pytest.raises(TermBudgetExceeded):
+            fast_profile(expr, budget=collapsed - 1)
 
 
 def test_collapsed_count_is_factorially_smaller():

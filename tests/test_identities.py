@@ -1,8 +1,9 @@
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
-from nbracket.expand import collapsed_term_count, oracle_profile
+from nbracket.expand import bracket_sizes, collapsed_term_count, oracle_profile
 from nbracket.identities import (
     CoefficientProfile,
     UnsupportedParameter,
@@ -112,6 +113,12 @@ def test_odd_reduction_constants():
     assert odd_reduction_constant(5) == Fraction(5, 126)
 
 
+def test_odd_reduction_constant_conjecture():
+    # N / C(2N-1, N) is a conjecture swept here, not a formula the verifier uses
+    for N in range(3, 52, 2):
+        assert odd_reduction_constant(N) == Fraction(N, comb(2 * N - 1, N)), N
+
+
 def test_odd_reduction_oracle_and_fast_agree():
     assert odd_reduction_constant(3, path="oracle") == odd_reduction_constant(3)
 
@@ -140,8 +147,19 @@ def test_profiles_match_closed_form_up_to_three():
 
 
 def test_profiles_beyond_the_verification_limit():
-    side1, side2 = bremner_profiles(4)
-    assert side1.m == side2.m == CoefficientProfile.closed_form(4).m
+    for L in (4, 20, 30):
+        side1, side2 = bremner_profiles(L)
+        assert side1.m == side2.m == CoefficientProfile.closed_form(L).m, L
+
+
+def test_collapsed_sizes_are_those_of_the_built_shapes():
+    from nbracket.identities import _collapsed_sizes
+
+    for L in range(1, 7):
+        split, nested, basis = _collapsed_sizes(L)
+        built = [split_shape(L), nested_shape(L)] + decomposition_basis(L)
+        for sizes, expr in zip([split, nested] + basis, built):
+            assert sorted(sizes) == sorted(bracket_sizes(expr, collapsed=True)), (L, expr)
 
 
 def test_half_order_one_profile_values():
@@ -214,6 +232,15 @@ def test_intercalation_profile_helper():
 def test_seven_bracket_decomposition():
     coefficients = decompose(decomposition_target(1), decomposition_basis(1))
     assert coefficients == [Fraction(1, 20), Fraction(-1, 6)]
+
+
+def test_decomposition_coefficient_conjecture():
+    # closed forms swept as conjectures; verify decomp derives its own
+    for L in range(1, 7):
+        a1 = Fraction(6 * L + 1, 4 * L + 2) * Fraction(factorial(2 * L + 1) ** 3,
+                                                     factorial(6 * L + 1))
+        a2 = Fraction(-(2 * L - 1), 4 * L + 2)
+        assert decompose(decomposition_target(L), decomposition_basis(L)) == [a1, a2], L
 
 
 def test_decomposition_identity_basis():
