@@ -1,8 +1,8 @@
 """Command-line front end: expand, reduce, verify, bench.
 
 Exit codes: 0 success/verified, 1 identity violated, 2 expression or input
-error or an unwritable --record log, 3 term budget exceeded, 4 unsupported parameter,
-5 internal error (a bug; the traceback goes to stderr).
+error, an unwritable --record log or a closed stdout, 3 term budget exceeded,
+4 unsupported parameter, 5 internal error (a bug; the traceback goes to stderr).
 """
 
 import argparse
@@ -12,6 +12,7 @@ import sys
 import traceback
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from time import perf_counter
 
 from .algebra import ANTI_SLOT, pattern_str, word_sort_key, word_str
@@ -87,6 +88,7 @@ def _parse_roles(pairs):
     return roles or None
 
 
+@cache  # one parser per process, shared by every main(argv) call
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "latex"), default="text")
@@ -108,25 +110,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
     p.add_argument("--role", action="append", metavar="LETTER=ROLE",
                    help="override the case convention, e.g. --role Z=anti")
-    p.set_defaults(handler=cmd_expand)
 
     p = sub.add_parser("reduce", parents=[common],
                        help="expand and reduce to canonical classes")
     p.add_argument("expr")
     p.add_argument("--role", action="append", metavar="LETTER=ROLE")
     p.add_argument("--path", choices=("auto", "oracle", "fast"), default="auto")
-    p.set_defaults(handler=cmd_reduce)
 
     p = sub.add_parser("verify", parents=[common], help="verify an identity")
     p.add_argument("identity", choices=IDENTITIES)
     p.add_argument("param", type=int,
                    help="bracket size N (even, odd-reduce) or half-order L")
-    p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("bench", parents=[common],
                        help="time the oracle and fast routes on both triple nestings")
     p.add_argument("L", type=int)
-    p.set_defaults(handler=cmd_bench)
     return parser
 
 
@@ -231,7 +229,7 @@ def cmd_reduce(args, config: RunConfig) -> int:
 
 def _run_identity(identity: str, param: int, config: RunConfig):
     if identity == "even":
-        return verify_even_gji(param, budget=config.term_budget, jobs=config.threads)
+        return verify_even_gji(param, budget=config.term_budget)
     if identity == "odd-reduce":
         return verify_odd_reduction(param, budget=config.term_budget, jobs=config.threads)
     if identity == "bremner":
@@ -337,8 +335,12 @@ def cmd_bench(args, config: RunConfig) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     config = _config(args)
+    handler = {"expand": cmd_expand, "reduce": cmd_reduce,  # per call: the parser is cached
+               "verify": cmd_verify, "bench": cmd_bench}[args.command]
     try:
-        return args.handler(args, config)
+        code = handler(args, config)
+        sys.stdout.flush()
+        return code
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -351,6 +353,13 @@ def main(argv=None) -> int:
     except (UnsupportedParameter, UnsupportedShapeError) as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_PARAM
+    except BrokenPipeError as exc:
+        print(f"output error: cannot write to stdout: {exc}", file=sys.stderr)
+        # the unwritten report then flushes into devnull when the interpreter exits
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_INPUT
     except Exception:  # a bug, never reported as 1, "identity violated"
         print("internal error:", traceback.format_exc(), file=sys.stderr, end="")
         return EXIT_INTERNAL

@@ -317,7 +317,7 @@ def _relate_exprs(target, basis, budget, jobs, path="auto"):
 # verifiers
 
 
-def verify_even_gji(N: int, budget=DEFAULT_TERM_BUDGET, jobs=1) -> IdentityReport:
+def verify_even_gji(N: int, budget=DEFAULT_TERM_BUDGET) -> IdentityReport:
     """Check that one N-bracket acting on another reduces to zero.
 
     Holds for even N; for odd N the report is violated and carries the first
@@ -329,7 +329,7 @@ def verify_even_gji(N: int, budget=DEFAULT_TERM_BUDGET, jobs=1) -> IdentityRepor
     check_budget([(N, 0), (N, 0)], budget, "oracle expansion")
     expr = double_action_expr(N)
     start = perf_counter()
-    classes = oracle_profile(expr, budget=budget, jobs=jobs)
+    classes = fast_profile(expr, budget=budget)
     _, witness = relate(classes, [])
     elapsed = (perf_counter() - start) * 1e3
     return IdentityReport(

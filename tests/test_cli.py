@@ -1,13 +1,17 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from time import perf_counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from nbracket import cli
 from nbracket.cli import IDENTITIES, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -168,6 +172,34 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert err.startswith("internal error:") and "RuntimeError: simulated bug" in err
 
 
+def test_handlers_are_looked_up_per_call(capsys, monkeypatch):
+    assert run(capsys, "reduce", "[A b1]")[0] == 0
+
+    def broken(args, config):
+        raise RuntimeError("simulated bug")
+
+    monkeypatch.setattr(cli, "cmd_reduce", broken)
+    code, out, err = run(capsys, "reduce", "[A b1]")
+    assert code == 5 and out == "" and "RuntimeError: simulated bug" in err
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_is_an_output_error(unbuffered):
+    # unbuffered, print itself fails; buffered, the final flush does
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nbracket", "verify", "bremner", "2", "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONUNBUFFERED=unbuffered),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("output error:") and len(proc.stderr.splitlines()) == 1
+
+
 def test_violated_exit_code(capsys):
     code, out, _ = run(capsys, "verify", "even", "3")
     assert code == 1
@@ -200,8 +232,14 @@ def test_unsupported_parameter_exit_code(capsys):
 
 
 def _cli_exit_code(argv):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return main(argv)
+    """(exit code, stdout) of one in-process request; argparse errors count by code."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
 
 
 short_expressions = st.text(alphabet="[](), ABZbcd1", max_size=14)
@@ -209,22 +247,69 @@ commands = st.one_of(
     st.tuples(st.sampled_from(("expand", "reduce")), short_expressions),
     st.tuples(st.just("verify"), st.sampled_from(IDENTITIES), st.integers(-3, 400).map(str)),
 )
+# the last --budget wins over the test's own cap; no --threads value starts a pool
+COMMON_FLAGS = (("--budget", "1"), ("--budget", "100"), ("--threads", "1"))
+ROLE_FLAGS = (("--role", "Z=anti"), ("--role", "z=fixed"), ("--role", "b=fixed"))
+PATH_FLAGS = (("--path", "auto"), ("--path", "oracle"), ("--path", "fast"))
+MALFORMED_FLAGS = (("--budget", "0"), ("--budget", "-1"), ("--budget", "x"),
+                   ("--threads", "0"), ("--threads", "x"), ("--no-such-flag",), ("-q",))
+MALFORMED_ROLES = (("--role", "zz=fixed"), ("--role", "Z=other"), ("--role", "=anti"),
+                   ("--role", "Z"))
+
+
+def _with_flags(command):
+    choices = COMMON_FLAGS + MALFORMED_FLAGS
+    if command[0] in ("expand", "reduce"):
+        choices += ROLE_FLAGS + MALFORMED_ROLES
+    if command[0] == "reduce":
+        choices += PATH_FLAGS
+    return st.tuples(st.just(command), st.lists(st.sampled_from(choices), max_size=3))
 
 
 WIDE_FLAT_BRACKET = "[" + " ".join(f"b{i}" for i in range(1, 1701)) + "]"
 
 
 @settings(max_examples=150, deadline=None)
-@given(commands, st.sampled_from(("text", "json", "latex")))
-@example(("verify", "sums", "320"), "text")
-@example(("reduce", WIDE_FLAT_BRACKET), "json")
-def test_cli_exits_with_a_documented_code(command, fmt):
-    code = _cli_exit_code([*command, "--format", fmt, "--budget", "10000"])
-    if command[:2] == ("verify", "even") and int(command[2]) % 2:
+@given(commands.flatmap(_with_flags), st.sampled_from(("text", "json", "latex")))
+@example((("verify", "sums", "320"), []), "text")
+@example((("reduce", WIDE_FLAT_BRACKET), []), "json")
+@example((("reduce", "[Z b1]"), [("--role", "Z=anti"), ("--path", "oracle")]), "json")
+@example((("verify", "even", "4"), [("--budget", "x")]), "json")
+@example((("verify", "even", "3"), [("--threads", "1")]), "json")
+def test_cli_exits_with_a_documented_code(command_and_flags, fmt):
+    command, flags = command_and_flags
+    argv = [*command, "--format", fmt, "--budget", "10000", *(a for f in flags for a in f)]
+    code, out = _cli_exit_code(argv)
+    if any(f in MALFORMED_FLAGS + MALFORMED_ROLES for f in flags):
+        assert code == 2, argv
+    elif command[:2] == ("verify", "even") and int(command[2]) % 2:
         # odd N really violates the even identity
-        assert code in (1, 3, 4), command
+        assert code in (1, 3, 4), argv
     else:
-        assert code in (0, 2, 3, 4), command
+        assert code in (0, 2, 3, 4), argv
+    if command[0] == "verify" and fmt == "json" and code in (0, 1):
+        assert (json.loads(out)["status"] == "verified") == (code == 0), argv
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_consecutive_calls_keep_no_state(capsys):
+    code, doc = run_json(capsys, "reduce", "[Z b1]", "--role", "Z=anti", "--format", "json")
+    assert code == 0 and [c["pattern"] for c in doc["classes"]] == ["b* b*"]
+    code, out, _ = run(capsys, "reduce", "[Z b1]")
+    assert code == 0 and out.splitlines()[:2] == ["+1 Z b*", "-1 b* Z"]
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce", "[A b1]", "--path", "nowhere"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, "expand", "[A b1]")
+    assert code == 0 and out.splitlines() == ["+1 A b1", "-1 b1 A"]
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from math import comb, factorial
 
 import pytest
 
-from nbracket.expand import bracket_sizes, collapsed_term_count, oracle_profile
+from nbracket.expand import bracket_sizes, collapsed_term_count, fast_profile, oracle_profile
 from nbracket.identities import (
     CoefficientProfile,
     UnsupportedParameter,
@@ -99,6 +99,13 @@ def test_odd_double_action_survives():
         assert report.status == "violated"
         assert report.witness["coefficient"] != 0
         assert report.witness["expected"] == 0
+
+
+def test_double_action_routes_agree():
+    # verify even runs the fast route; the oracle stays its reference
+    for N in range(2, 7):
+        expr = double_action_expr(N)
+        assert fast_profile(expr) == oracle_profile(expr), N
 
 
 def test_even_gji_rejects_small_sizes():
