@@ -10,7 +10,6 @@ import json
 import os
 import sys
 import traceback
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from time import perf_counter
@@ -25,6 +24,7 @@ from .expand import (
     fast_profile,
     naive_term_count,
     oracle_profile,
+    profile_auto,
 )
 from .identities import (
     UnsupportedParameter,
@@ -32,7 +32,6 @@ from .identities import (
     coeff_json,
     intercalation_profile,
     nested_shape,
-    profile_auto,
     require_printable,
     split_shape,
     verify_bremner,
@@ -50,14 +49,6 @@ EXIT_PARAM = 4
 EXIT_INTERNAL = 5
 
 IDENTITIES = ("even", "odd-reduce", "bremner", "sums", "decomp")
-
-
-@dataclass
-class RunConfig:
-    term_budget: int = DEFAULT_TERM_BUDGET
-    threads: int = 1
-    format: str = "text"
-    record: str | None = None
 
 
 def _parse_threads(value: str) -> int:
@@ -128,15 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args) -> RunConfig:
-    return RunConfig(
-        term_budget=args.budget,
-        threads=args.threads,
-        format=args.format,
-        record=args.record,
-    )
-
-
 def _coeff_text(coeff) -> str:
     if isinstance(coeff, Fraction) and coeff.denominator != 1:
         return f"+{coeff}" if coeff > 0 else str(coeff)
@@ -170,11 +152,11 @@ def _signed_series(parts) -> str:
     return " ".join(chunks) if chunks else "0"
 
 
-def cmd_expand(args, config: RunConfig) -> int:
+def cmd_expand(args) -> int:
     expr = parse(args.expr, roles=_parse_roles(args.role))
-    element = expand_expr(expr, budget=config.term_budget)
+    element = expand_expr(expr, budget=args.budget)
     words = element.words_in_order()
-    if config.format == "json":
+    if args.format == "json":
         payload = {
             "expr": render(expr),
             "terms": [
@@ -184,7 +166,7 @@ def cmd_expand(args, config: RunConfig) -> int:
             "count": len(words),
         }
         print(json.dumps(payload, indent=2))
-    elif config.format == "latex":
+    elif args.format == "latex":
         print(_signed_series((element.coefficient(w), word_latex(w)) for w in words))
     else:
         if not words:
@@ -194,15 +176,15 @@ def cmd_expand(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_reduce(args, config: RunConfig) -> int:
+def cmd_reduce(args) -> int:
     expr = parse(args.expr, roles=_parse_roles(args.role))
     # the word count bounds every coefficient, since each word counts +1 or -1
     require_printable(bracket_sizes(expr), "the word count")
-    classes, used_path = profile_auto(expr, config.term_budget, config.threads, args.path)
+    classes, used_path = profile_auto(expr, args.budget, args.threads, args.path)
     ordered = sorted(classes, key=word_sort_key)
     resolution = intercalation_profile(classes)
     profile = resolution[0] if resolution else None
-    if config.format == "json":
+    if args.format == "json":
         payload = {
             "expr": render(expr),
             "path": used_path,
@@ -215,7 +197,7 @@ def cmd_reduce(args, config: RunConfig) -> int:
             "terms": naive_term_count(expr),
         }
         print(json.dumps(payload, indent=2))
-    elif config.format == "latex":
+    elif args.format == "latex":
         print(_signed_series((classes[p], pattern_latex(p)) for p in ordered))
     else:
         if not ordered:
@@ -227,24 +209,24 @@ def cmd_reduce(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _run_identity(identity: str, param: int, config: RunConfig):
+def _run_identity(identity: str, param: int, budget: int):
     if identity == "even":
-        return verify_even_gji(param, budget=config.term_budget)
+        return verify_even_gji(param, budget=budget)
     if identity == "odd-reduce":
-        return verify_odd_reduction(param, budget=config.term_budget, jobs=config.threads)
+        return verify_odd_reduction(param, budget=budget)
     if identity == "bremner":
-        return verify_bremner(param, budget=config.term_budget)
+        return verify_bremner(param, budget=budget)
     if identity == "sums":
         return check_sums(param)
-    return verify_decomposition(param, budget=config.term_budget, jobs=config.threads)
+    return verify_decomposition(param, budget=budget)
 
 
-def cmd_verify(args, config: RunConfig) -> int:
-    report = _run_identity(args.identity, args.param, config)
+def cmd_verify(args) -> int:
+    report = _run_identity(args.identity, args.param, args.budget)
     doc = report.to_json_dict()
-    if config.format == "json":
+    if args.format == "json":
         print(json.dumps(doc, indent=2))
-    elif config.format == "latex":
+    elif args.format == "latex":
         if report.profile:
             width = len(report.profile)
             parts = []
@@ -265,9 +247,9 @@ def cmd_verify(args, config: RunConfig) -> int:
             print(f"profile m_n: {report.profile}")
         if report.witness is not None:
             print(f"witness: {report.witness}")
-    if config.record and report.verified:
+    if args.record and report.verified:
         try:
-            with open(config.record, "a", encoding="utf-8") as log:
+            with open(args.record, "a", encoding="utf-8") as log:
                 log.write(json.dumps(doc) + "\n")
         except OSError as exc:
             print(f"input error: cannot append to --record log: {exc}", file=sys.stderr)
@@ -275,51 +257,51 @@ def cmd_verify(args, config: RunConfig) -> int:
     return EXIT_OK if report.verified else EXIT_VIOLATED
 
 
-def _bench_rows(L: int, config: RunConfig):
+def _bench_rows(L: int, budget: int, threads: int):
     rows = []
     for name, expr in (("split", split_shape(L)), ("nested", nested_shape(L))):
         naive = naive_term_count(expr)
         start = perf_counter()
-        classes = fast_profile(expr, budget=config.term_budget)
+        classes = fast_profile(expr, budget=budget)
         fast_s = perf_counter() - start
         rows.append({
             "shape": name, "path": "fast", "words": naive,
             "elapsed_ms": fast_s * 1e3, "classes": len(classes),
             "note": None,
         })
-        if naive > config.term_budget:
+        if naive > budget:
             rows.append({
                 "shape": name, "path": "oracle", "words": naive,
                 "elapsed_ms": None, "classes": None,
-                "note": f"skipped: {naive} words exceed budget {config.term_budget}",
+                "note": f"skipped: {naive} words exceed budget {budget}",
             })
             continue
         start = perf_counter()
-        serial = oracle_profile(expr, budget=config.term_budget, jobs=1)
+        serial = oracle_profile(expr, budget=budget, jobs=1)
         serial_s = perf_counter() - start
         note = f"{int(naive / serial_s)} words/s" if serial_s else None
         rows.append({
             "shape": name, "path": "oracle", "words": naive,
             "elapsed_ms": serial_s * 1e3, "classes": len(serial), "note": note,
         })
-        if config.threads > 1:
+        if threads > 1:
             start = perf_counter()
-            oracle_profile(expr, budget=config.term_budget, jobs=config.threads)
+            oracle_profile(expr, budget=budget, jobs=threads)
             parallel_s = perf_counter() - start
             speedup = serial_s / parallel_s if parallel_s else 0.0
             rows.append({
-                "shape": name, "path": f"oracle x{config.threads}", "words": naive,
+                "shape": name, "path": f"oracle x{threads}", "words": naive,
                 "elapsed_ms": parallel_s * 1e3, "classes": len(serial),
                 "note": f"speedup {speedup:.2f}x vs single block",
             })
     return rows
 
 
-def cmd_bench(args, config: RunConfig) -> int:
+def cmd_bench(args) -> int:
     if args.L < 1:
         raise UnsupportedParameter(f"half-order must be >= 1, got {args.L}")
-    rows = _bench_rows(args.L, config)
-    if config.format == "json":
+    rows = _bench_rows(args.L, args.budget, args.threads)
+    if args.format == "json":
         print(json.dumps({"L": args.L, "rows": rows}, indent=2))
         return EXIT_OK
     header = f"{'shape':<8}{'path':<12}{'words':>14}{'ms':>12}{'classes':>9}  note"
@@ -333,14 +315,15 @@ def cmd_bench(args, config: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    config = _config(args)
-    handler = {"expand": cmd_expand, "reduce": cmd_reduce,  # per call: the parser is cached
-               "verify": cmd_verify, "bench": cmd_bench}[args.command]
     try:
-        code = handler(args, config)
-        sys.stdout.flush()
-        return code
+        try:
+            args = build_parser().parse_args(argv)
+            # looked up per call, since the parser is cached
+            handler = {"expand": cmd_expand, "reduce": cmd_reduce,
+                       "verify": cmd_verify, "bench": cmd_bench}[args.command]
+            return handler(args)
+        finally:  # a closed stdout surfaces here, under --help too
+            sys.stdout.flush()
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_INPUT

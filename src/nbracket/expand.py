@@ -22,6 +22,10 @@ family atoms commute and an entry with even d flips the sign for each atom
 it passes.  Classes are keyed sparsely by their (position, fixed symbol)
 pairs and made dense patterns only at the root.  The oracle never uses these
 shortcuts, which is what makes the cross-check between routes mean something.
+
+``profile_auto`` is the one place that chooses a route: the fast one, or the
+oracle on a bracket nesting more than two composite entries, which the fast
+route refuses.
 """
 
 import os
@@ -320,6 +324,18 @@ def fast_profile(expr, budget=DEFAULT_TERM_BUDGET):
     classes, _, width = _compose(expr)
     return {tuple(dict(key).get(pos, ANTI_SLOT) for pos in range(width)): coeff
             for key, coeff in classes.items()}
+
+
+def profile_auto(expr, budget, jobs=1, path="auto"):
+    """``(classes, route)``: the fast route, falling back to the oracle on
+    shapes it does not cover unless ``path`` names one route."""
+    if path != "oracle":
+        try:
+            return fast_profile(expr, budget=budget), "fast"
+        except UnsupportedShapeError:
+            if path == "fast":
+                raise
+    return oracle_profile(expr, budget=budget, jobs=jobs), "oracle"
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,10 @@ Covered identities, each reported through IdentityReport:
 * ``sums``       the arithmetic checks on those closed forms.
 * ``decomp``     the exact decomposition of the nested shape over a flat
                  (6L+1)-bracket and a bracket of two inner brackets.
+
+Every verifier takes its profiles from the fast route, which covers all of
+their shapes; the oracle cross-checks live in the test suite.  Only
+``decompose``, which takes arbitrary shapes, may fall back to the oracle.
 """
 
 import sys
@@ -24,12 +28,11 @@ from time import perf_counter
 from .algebra import ANTI_SLOT, pattern_str, word_sort_key
 from .expand import (
     DEFAULT_TERM_BUDGET,
-    UnsupportedShapeError,
     check_budget,
     count_bits,
     fast_profile,
     naive_term_count,
-    oracle_profile,
+    profile_auto,
     word_count,
 )
 from .syntax import Atom, Bracket, anti_indices, render
@@ -295,24 +298,6 @@ def _collapsed_sizes(L: int):
     return split, nested, [[(6 * L + 1, 6 * L)], [(n, n - 3), (n, n), (n, n)]]
 
 
-def profile_auto(expr, budget, jobs=1, path="auto"):
-    """``(classes, route)``: the fast route, falling back to the oracle on
-    shapes it does not cover unless ``path`` names one route."""
-    if path != "oracle":
-        try:
-            return fast_profile(expr, budget=budget), "fast"
-        except UnsupportedShapeError:
-            if path == "fast":
-                raise
-    return oracle_profile(expr, budget=budget, jobs=jobs), "oracle"
-
-
-def _relate_exprs(target, basis, budget, jobs, path="auto"):
-    """``relate`` on the profiles of bracket expressions."""
-    return relate(profile_auto(target, budget, jobs, path)[0],
-                  [profile_auto(expr, budget, jobs, path)[0] for expr in basis])
-
-
 # ---------------------------------------------------------------------------
 # verifiers
 
@@ -348,26 +333,27 @@ def _require_odd_size(N):
         raise UnsupportedParameter(f"odd bracket size required, got {N}")
 
 
-def odd_reduction_constant(N: int, budget=DEFAULT_TERM_BUDGET, jobs=1,
-                           path="fast") -> Fraction | None:
+def odd_reduction_constant(N: int, budget=DEFAULT_TERM_BUDGET) -> Fraction | None:
     """Constant k with profile(double action) = k * profile(flat bracket).
 
     Defined for odd N.  Returns None if no single k fits every class, which
-    would falsify the reduction claim.  ``path`` is as for ``profile_auto``.
+    would falsify the reduction claim.
     """
     _require_odd_size(N)
     double, flat = double_action_expr(N), flat_bracket_expr(2 * N - 1)
-    coefficients, _ = _relate_exprs(double, [flat], budget, jobs, path)
+    coefficients, _ = relate(fast_profile(double, budget=budget),
+                             [fast_profile(flat, budget=budget)])
     return None if coefficients is None else coefficients[0]
 
 
-def verify_odd_reduction(N: int, budget=DEFAULT_TERM_BUDGET, jobs=1) -> IdentityReport:
+def verify_odd_reduction(N: int, budget=DEFAULT_TERM_BUDGET) -> IdentityReport:
     _require_odd_size(N)
     require_printable([(2 * N - 1, 0)], "the word count (2N-1)!")
     double, flat = double_action_expr(N), flat_bracket_expr(2 * N - 1)
     terms = naive_term_count(double) + naive_term_count(flat)
     start = perf_counter()
-    coefficients, witness = _relate_exprs(double, [flat], budget, jobs, "fast")
+    coefficients, witness = relate(fast_profile(double, budget=budget),
+                                   [fast_profile(flat, budget=budget)])
     k = None if coefficients is None else coefficients[0]
     elapsed = (perf_counter() - start) * 1e3
     return IdentityReport(
@@ -467,11 +453,12 @@ def check_sums(L: int) -> IdentityReport:
 # exact decomposition
 
 
-def decompose(target, basis, budget=DEFAULT_TERM_BUDGET, jobs=1):
+def decompose(target, basis, budget=DEFAULT_TERM_BUDGET):
     """Exact rationals a_i with profile(target) = sum a_i profile(basis_i).
 
     Returns None when the target profile is outside the basis span.  Target
-    and basis must use the same family index set.
+    and basis must use the same family index set.  Profiles come from
+    ``profile_auto``, so shapes the fast route refuses go to the oracle.
     """
     target_set = set(anti_indices(target))
     for expr in basis:
@@ -479,10 +466,11 @@ def decompose(target, basis, budget=DEFAULT_TERM_BUDGET, jobs=1):
             raise ValueError(
                 f"basis entry {render(expr)} does not use the target's family indices"
             )
-    return _relate_exprs(target, basis, budget, jobs)[0]
+    return relate(profile_auto(target, budget)[0],
+                  [profile_auto(expr, budget)[0] for expr in basis])[0]
 
 
-def verify_decomposition(L: int, budget=DEFAULT_TERM_BUDGET, jobs=1) -> IdentityReport:
+def verify_decomposition(L: int, budget=DEFAULT_TERM_BUDGET) -> IdentityReport:
     """Decompose the nested shape over the flat bracket and the paired shape."""
     if not isinstance(L, int) or L < 1:
         raise UnsupportedParameter(f"half-order must be an integer >= 1, got {L}")
@@ -492,7 +480,8 @@ def verify_decomposition(L: int, budget=DEFAULT_TERM_BUDGET, jobs=1) -> Identity
     target = decomposition_target(L)
     basis = decomposition_basis(L)
     start = perf_counter()
-    coefficients, witness = _relate_exprs(target, basis, budget, jobs)
+    coefficients, witness = relate(fast_profile(target, budget=budget),
+                                   [fast_profile(b, budget=budget) for b in basis])
     elapsed = (perf_counter() - start) * 1e3
     details = {
         "target": render(target),

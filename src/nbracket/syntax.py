@@ -23,8 +23,6 @@ from dataclasses import dataclass
 
 from .algebra import is_anti, symbol_str
 
-DEFAULT_FIXED_NAMES = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
-
 # Deepest nesting of brackets and parentheses the parser accepts.  The
 # expanders, counters, walkers and renderers recurse once or twice per level,
 # so this keeps them all well inside the default recursion limit of 1000.
@@ -138,10 +136,9 @@ def _bind_bare_letters(tokens, roles):
 
 
 class _Parser:
-    def __init__(self, text, roles, fixed_names):
+    def __init__(self, text, roles):
         self.text = text
         self.roles = roles
-        self.fixed_names = fixed_names
         self.tokens = _tokenize(text)
         self.bare = _bind_bare_letters(self.tokens, roles)
         self.pos = 0
@@ -205,31 +202,21 @@ class _Parser:
 
     def atom_symbol(self, value, offset):
         letter, digits = value
-        role = _letter_role(letter, self.roles)
-        if role == "fixed":
+        if _letter_role(letter, self.roles) == "fixed":
             if digits:
                 raise ParseError(f"fixed symbol {letter!r} takes no index", offset)
-            declared = letter in self.fixed_names or (
-                self.roles is not None and self.roles.get(letter) == "fixed"
-            )
-            if not declared:
-                raise ParseError(f"undeclared fixed symbol {letter!r}", offset)
             return letter
-        if digits:
-            index = int(digits)
-            if index < 1:
-                raise ParseError(f"family index must be >= 1, got {letter}{digits}", offset)
-            return index
-        return self.bare[letter]
+        # _bind_bare_letters has already rejected indices below 1
+        return int(digits) if digits else self.bare[letter]
 
 
-def parse(text, roles=None, fixed_names=DEFAULT_FIXED_NAMES):
+def parse(text, roles=None):
     """Parse bracket notation into a BracketExpr.
 
     ``roles`` optionally overrides the case convention per letter, mapping a
     letter to "fixed" or "anti".
     """
-    return _Parser(text, roles, fixed_names).parse()
+    return _Parser(text, roles).parse()
 
 
 # ---------------------------------------------------------------------------

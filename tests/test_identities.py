@@ -127,7 +127,9 @@ def test_odd_reduction_constant_conjecture():
 
 
 def test_odd_reduction_oracle_and_fast_agree():
-    assert odd_reduction_constant(3, path="oracle") == odd_reduction_constant(3)
+    oracle, _ = relate(oracle_profile(double_action_expr(3)),
+                       [oracle_profile(flat_bracket_expr(5))])
+    assert oracle == [odd_reduction_constant(3)]
 
 
 def test_odd_reduction_rejects_even_sizes():
@@ -255,6 +257,12 @@ def test_decomposition_identity_basis():
     assert decompose(target, [target]) == [1]
 
 
+def test_decomposition_falls_back_to_the_oracle_on_wide_shapes():
+    # three composite entries: the fast route refuses it, the oracle covers it
+    wide = parse("[[A b1] [Z b2] [Q b3]]")
+    assert decompose(wide, [wide]) == [1]
+
+
 def test_decomposition_minimum_norm_when_underdetermined():
     target = flat_bracket_expr(3, lead_fixed="A")
     assert decompose(target, [target, target]) == [Fraction(1, 2), Fraction(1, 2)]
@@ -315,18 +323,18 @@ def test_relate_gives_the_minimum_norm_solution_of_a_dependent_basis():
 
 
 def _perturb_profile(monkeypatch, victim, extra):
-    """Make profile_auto add the class map extra to the profile of victim."""
+    """Make fast_profile add the class map extra to the profile of victim."""
     import nbracket.identities as identities
 
-    true_profile = identities.profile_auto
+    true_profile = identities.fast_profile
 
     def perturbed(expr, *args, **kwargs):
-        classes, route = true_profile(expr, *args, **kwargs)
+        classes = true_profile(expr, *args, **kwargs)
         if expr == victim:
             classes = {p: classes.get(p, 0) + extra.get(p, 0) for p in set(classes) | set(extra)}
-        return classes, route
+        return classes
 
-    monkeypatch.setattr(identities, "profile_auto", perturbed)
+    monkeypatch.setattr(identities, "fast_profile", perturbed)
 
 
 def test_violated_odd_reduction_report_carries_the_class_witness(monkeypatch):

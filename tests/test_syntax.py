@@ -60,11 +60,6 @@ def test_role_overrides():
     assert parse("[Z1 Z2]", roles={"Z": "anti"}) == Bracket((Atom(1), Atom(2)))
 
 
-def test_restricted_symbol_table():
-    with pytest.raises(ParseError):
-        parse("[QB]", fixed_names=frozenset("AB"))
-
-
 @pytest.mark.parametrize(
     "text, offset_hint",
     [
