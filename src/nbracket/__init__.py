@@ -3,9 +3,7 @@
 from .algebra import (
     ANTI_SLOT,
     FreeElement,
-    anti,
     canonical_reduce,
-    fixed,
     is_anti,
     merge_class_maps,
     pattern_str,

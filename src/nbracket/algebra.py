@@ -1,4 +1,4 @@
-"""Exact arithmetic in the free associative algebra over two kinds of generators.
+"""Words over two kinds of generators, their exact sums, and their reduction.
 
 A *fixed* generator is a named operator that antisymmetrization leaves in
 place.  A member of the *antisymmetrized family* carries a positive integer
@@ -16,26 +16,9 @@ results can be computed independently and merged.
 
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import chain
 
 ANTI_SLOT = 0
-
-Symbol = int | str
-Word = tuple
-Pattern = tuple
-
-
-def anti(index: int) -> int:
-    """The antisymmetrized-family generator with the given index (1-based)."""
-    if not isinstance(index, int) or isinstance(index, bool) or index < 1:
-        raise ValueError(f"family index must be a positive integer, got {index!r}")
-    return index
-
-
-def fixed(name: str) -> str:
-    """A fixed generator with the given nonempty name."""
-    if not isinstance(name, str) or not name:
-        raise ValueError(f"fixed-generator name must be a nonempty string, got {name!r}")
-    return name
 
 
 def is_anti(symbol) -> bool:
@@ -138,8 +121,8 @@ def _as_coefficient(value):
 class FreeElement:
     """A finite formal sum of words with exact rational coefficients.
 
-    Supports addition, subtraction, scalar multiplication, and the bilinear
-    concatenation product of the free algebra.  Instances are immutable.
+    Supports addition and subtraction; identities are checked on class maps,
+    so no product is needed.  Instances are immutable.
     """
 
     __slots__ = ("_terms",)
@@ -169,11 +152,6 @@ class FreeElement:
     def zero(cls):
         return cls()
 
-    @classmethod
-    def one(cls):
-        """The empty word, the multiplicative identity."""
-        return cls((((), 1),))
-
     def items(self):
         return self._terms.items()
 
@@ -186,81 +164,23 @@ class FreeElement:
     def __len__(self):
         return len(self._terms)
 
-    def __bool__(self):
-        return bool(self._terms)
-
     def __eq__(self, other):
         if isinstance(other, FreeElement):
             return self._terms == other._terms
         return NotImplemented
 
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
     def __add__(self, other):
         if not isinstance(other, FreeElement):
             return NotImplemented
-        data = dict(self._terms)
-        for word, coeff in other._terms.items():
-            value = data.get(word, 0) + coeff
-            if value:
-                data[word] = value
-            elif word in data:
-                del data[word]
-        out = FreeElement.zero()
-        out._terms = data
-        return out
+        return FreeElement(chain(self.items(), other.items()))
 
     def __neg__(self):
-        out = FreeElement.zero()
-        out._terms = {w: -c for w, c in self._terms.items()}
-        return out
+        return FreeElement((w, -c) for w, c in self.items())
 
     def __sub__(self, other):
         if not isinstance(other, FreeElement):
             return NotImplemented
         return self + (-other)
-
-    def scaled(self, scalar):
-        scalar = _as_coefficient(scalar)
-        if not scalar:
-            return FreeElement.zero()
-        out = FreeElement.zero()
-        out._terms = {w: c * scalar for w, c in self._terms.items()}
-        return out
-
-    def __mul__(self, other):
-        if isinstance(other, FreeElement):
-            data = {}
-            for w1, c1 in self._terms.items():
-                for w2, c2 in other._terms.items():
-                    word = w1 + w2
-                    value = data.get(word, 0) + c1 * c2
-                    if value:
-                        data[word] = value
-                    elif word in data:
-                        del data[word]
-            out = FreeElement.zero()
-            out._terms = data
-            return out
-        return self.scaled(other)
-
-    def __rmul__(self, other):
-        return self.scaled(other)
-
-    def __str__(self):
-        if not self._terms:
-            return "0"
-        parts = []
-        for word in self.words_in_order():
-            coeff = self._terms[word]
-            sign = "-" if coeff < 0 else "+"
-            magnitude = -coeff if coeff < 0 else coeff
-            body = word_str(word)
-            if magnitude != 1 or not word:
-                body = f"{magnitude} {body}" if word else f"{magnitude}"
-            parts.append(f"{sign} {body}" if parts else (f"-{body}" if sign == "-" else body))
-        return " ".join(parts)
 
     def __repr__(self):
         return f"FreeElement({self._terms!r})"

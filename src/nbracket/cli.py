@@ -14,12 +14,13 @@ from fractions import Fraction
 from functools import cache
 from time import perf_counter
 
-from .algebra import ANTI_SLOT, pattern_str, word_sort_key, word_str
+from .algebra import ANTI_SLOT, is_anti, pattern_str, word_sort_key, word_str
 from .expand import (
     DEFAULT_TERM_BUDGET,
     TermBudgetExceeded,
     UnsupportedShapeError,
     bracket_sizes,
+    check_budget,
     expand_expr,
     fast_profile,
     naive_term_count,
@@ -27,11 +28,14 @@ from .expand import (
     profile_auto,
 )
 from .identities import (
+    PROFILE_SIGN_CONVENTION,
     UnsupportedParameter,
+    _collapsed_sizes,
     check_sums,
     coeff_json,
     intercalation_profile,
     nested_shape,
+    one_fixed_pattern,
     require_printable,
     split_shape,
     verify_bremner,
@@ -39,7 +43,7 @@ from .identities import (
     verify_even_gji,
     verify_odd_reduction,
 )
-from .syntax import DuplicateAntiIndexError, ParseError, latex_symbol, parse, render
+from .syntax import DuplicateAntiIndexError, ParseError, parse, render
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -49,6 +53,9 @@ EXIT_PARAM = 4
 EXIT_INTERNAL = 5
 
 IDENTITIES = ("even", "odd-reduce", "bremner", "sums", "decomp")
+
+# expand holds every word it prints, about 1 KiB each, so its default fits memory
+EXPAND_TERM_BUDGET = 2 * 10**6
 
 
 def _parse_threads(value: str) -> int:
@@ -79,16 +86,22 @@ def _parse_roles(pairs):
     return roles or None
 
 
-@cache  # one parser per process, shared by every main(argv) call
-def build_parser() -> argparse.ArgumentParser:
+def _common_options(budget: int) -> argparse.ArgumentParser:
+    """The options every command takes; children share a parent's actions."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "latex"), default="text")
     common.add_argument("--threads", type=_parse_threads, default=1, metavar="N",
                         help="worker processes, or 'auto'")
-    common.add_argument("--budget", type=_parse_budget, default=DEFAULT_TERM_BUDGET,
+    common.add_argument("--budget", type=_parse_budget, default=budget,
                         metavar="N", help="cap on generated words")
     common.add_argument("--record", metavar="PATH",
                         help="append verified reports to this JSON-lines log")
+    return common
+
+
+@cache  # one parser per process, shared by every main(argv) call
+def build_parser() -> argparse.ArgumentParser:
+    common = _common_options(DEFAULT_TERM_BUDGET)
 
     parser = argparse.ArgumentParser(
         prog="nbracket",
@@ -96,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("expand", parents=[common],
+    p = sub.add_parser("expand", parents=[_common_options(EXPAND_TERM_BUDGET)],
                        help="expand an expression into signed words")
     p.add_argument("expr")
     p.add_argument("--role", action="append", metavar="LETTER=ROLE",
@@ -123,6 +136,10 @@ def _coeff_text(coeff) -> str:
     if isinstance(coeff, Fraction) and coeff.denominator != 1:
         return f"+{coeff}" if coeff > 0 else str(coeff)
     return f"{int(coeff):+d}"
+
+
+def latex_symbol(symbol) -> str:
+    return f"B_{{{symbol}}}" if is_anti(symbol) else str(symbol)
 
 
 def word_latex(word) -> str:
@@ -193,7 +210,7 @@ def cmd_reduce(args) -> int:
                 for p in ordered
             ],
             "profile": profile,
-            "profile_sign": "(-1)^n",
+            "profile_sign": PROFILE_SIGN_CONVENTION,
             "terms": naive_term_count(expr),
         }
         print(json.dumps(payload, indent=2))
@@ -229,11 +246,8 @@ def cmd_verify(args) -> int:
     elif args.format == "latex":
         if report.profile:
             width = len(report.profile)
-            parts = []
-            for n, m in enumerate(report.profile):
-                pattern = (ANTI_SLOT,) * n + ("A",) + (ANTI_SLOT,) * (width - 1 - n)
-                parts.append((-m if n & 1 else m, pattern_latex(pattern)))
-            print(_signed_series(parts))
+            print(_signed_series((-m if n & 1 else m, pattern_latex(one_fixed_pattern(n, width)))
+                                 for n, m in enumerate(report.profile)))
         else:
             print(f"% {report.identity} {report.params}: {report.status}")
     else:
@@ -300,6 +314,9 @@ def _bench_rows(L: int, budget: int, threads: int):
 def cmd_bench(args) -> int:
     if args.L < 1:
         raise UnsupportedParameter(f"half-order must be >= 1, got {args.L}")
+    for sizes in _collapsed_sizes(args.L)[:2]:  # before the 6L-atom shapes are built
+        check_budget(sizes, args.budget, "fast expansion")
+    require_printable([(2 * args.L + 1, 0)] * 3, "the word count ((2L+1)!)^3")
     rows = _bench_rows(args.L, args.budget, args.threads)
     if args.format == "json":
         print(json.dumps({"L": args.L, "rows": rows}, indent=2))

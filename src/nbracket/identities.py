@@ -78,6 +78,11 @@ def closed_form_multiplicity(n: int, L: int) -> int:
 # profiles of the fixed-operator resolutions
 
 
+def one_fixed_pattern(n, width, name="A"):
+    """The class of ``width`` slots with the fixed symbol at position n."""
+    return (ANTI_SLOT,) * n + (name,) + (ANTI_SLOT,) * (width - 1 - n)
+
+
 @dataclass(frozen=True)
 class CoefficientProfile:
     """Magnitudes m_n of a resolution sum_n (-1)^n m_n (n family factors,
@@ -93,9 +98,6 @@ class CoefficientProfile:
     def signed(self, n):
         return -self.m[n] if n & 1 else self.m[n]
 
-    def is_reflection_symmetric(self) -> bool:
-        return self.m == tuple(reversed(self.m))
-
     @classmethod
     def closed_form(cls, L: int):
         prefactor = multiplicity_prefactor(L)
@@ -104,10 +106,7 @@ class CoefficientProfile:
     @classmethod
     def from_classes(cls, classes, L: int, fixed_name: str = "A"):
         width = 6 * L + 1
-        expected = {}
-        for n in range(width):
-            pattern = (ANTI_SLOT,) * n + (fixed_name,) + (ANTI_SLOT,) * (width - 1 - n)
-            expected[pattern] = n
+        expected = {one_fixed_pattern(n, width, fixed_name): n for n in range(width)}
         stray = [p for p in classes if p not in expected]
         if stray:
             raise ValueError(f"unexpected class {pattern_str(stray[0])} for half-order {L}")
@@ -397,9 +396,7 @@ def verify_bremner(L: int, budget=DEFAULT_TERM_BUDGET) -> IdentityReport:
         if len(set(values)) != 1:
             witness = {
                 "n": n,
-                "pattern": pattern_str(
-                    (ANTI_SLOT,) * n + ("A",) + (ANTI_SLOT,) * (closed.width - 1 - n)
-                ),
+                "pattern": pattern_str(one_fixed_pattern(n, closed.width)),
                 "split": coeff_json(side1.m[n]),
                 "nested": coeff_json(side2.m[n]),
                 "closed_form": closed.m[n],

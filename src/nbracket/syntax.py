@@ -1,4 +1,4 @@
-"""Bracket-notation expressions: AST, parser, and renderers.
+"""Bracket-notation expressions: AST, parser, and ascii renderer.
 
 Grammar (whitespace ignored everywhere):
 
@@ -14,7 +14,7 @@ atoms inside a group form a product ("[AD,B,C]" means "[(AD)BC]").
 
 Bare lowercase letters receive family indices in order of first appearance,
 skipping any indices used explicitly, so "[bcd]" means "[b1 b2 b3]".  The
-ascii renderer always writes family members as ``b<index>``, which makes
+renderer always writes family members as ``b<index>``, which makes
 parse(render(x)) the identity.  Nesting deeper than ``MAX_DEPTH`` brackets
 and parentheses is a ParseError.
 """
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .algebra import is_anti, symbol_str
 
 # Deepest nesting of brackets and parentheses the parser accepts.  The
-# expanders, counters, walkers and renderers recurse once or twice per level,
+# expanders, counters, walkers and the renderer recurse once or twice per level,
 # so this keeps them all well inside the default recursion limit of 1000.
 MAX_DEPTH = 100
 
@@ -223,36 +223,14 @@ def parse(text, roles=None):
 # rendering
 
 
-def render(expr, fmt="ascii") -> str:
-    """Serialize an expression; ascii output re-parses to an equal AST."""
-    if fmt == "ascii":
-        return _render_ascii(expr)
-    if fmt == "latex":
-        return _render_latex(expr)
-    raise ValueError(f"unknown format {fmt!r}")
-
-
-def _render_ascii(expr) -> str:
+def render(expr) -> str:
+    """Serialize an expression as ascii that re-parses to an equal AST."""
     if isinstance(expr, Atom):
         return symbol_str(expr.symbol)
     if isinstance(expr, Product):
-        return "(" + "".join(_render_ascii(f) for f in expr.factors) + ")"
+        return "(" + "".join(render(f) for f in expr.factors) + ")"
     if isinstance(expr, Bracket):
-        return "[" + " ".join(_render_ascii(e) for e in expr.entries) + "]"
-    raise TypeError(f"not a bracket expression: {expr!r}")
-
-
-def latex_symbol(symbol) -> str:
-    return f"B_{{{symbol}}}" if is_anti(symbol) else str(symbol)
-
-
-def _render_latex(expr) -> str:
-    if isinstance(expr, Atom):
-        return latex_symbol(expr.symbol)
-    if isinstance(expr, Product):
-        return r"\left( " + " ".join(_render_latex(f) for f in expr.factors) + r" \right)"
-    if isinstance(expr, Bracket):
-        return r"\left[ " + " ".join(_render_latex(e) for e in expr.entries) + r" \right]"
+        return "[" + " ".join(render(e) for e in expr.entries) + "]"
     raise TypeError(f"not a bracket expression: {expr!r}")
 
 

@@ -1,13 +1,10 @@
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, strategies as st
 
 from nbracket.algebra import (
     FreeElement,
-    anti,
     canonical_reduce,
-    fixed,
     merge_class_maps,
     pattern_str,
     reduce_element,
@@ -20,21 +17,6 @@ A, Z = "A", "Z"
 
 def words(element):
     return {w: c for w, c in element.items()}
-
-
-# ---------------------------------------------------------------------------
-# symbols
-
-
-def test_symbol_constructors_validate():
-    assert anti(3) == 3
-    assert fixed("A") == "A"
-    with pytest.raises(ValueError):
-        anti(0)
-    with pytest.raises(ValueError):
-        anti(-2)
-    with pytest.raises(ValueError):
-        fixed("")
 
 
 # ---------------------------------------------------------------------------
@@ -115,40 +97,10 @@ def test_zero_coefficients_never_stored():
     assert words(e) == {(1,): 2}
 
 
-def test_multiply_concatenates():
-    a = FreeElement.from_symbol(A)
-    b1 = FreeElement.from_symbol(1)
-    assert words(a * b1) == {(A, 1): 1}
-
-
-def test_one_is_identity():
-    x = FreeElement([((A, 1), 2), ((2,), -1)])
-    assert FreeElement.one() * x == x
-    assert x * FreeElement.one() == x
-
-
-def test_difference_of_squares_expansion():
-    a = FreeElement.from_symbol(A)
-    b1 = FreeElement.from_symbol(1)
-    product = (a - b1) * (a + b1)
-    assert words(product) == {(A, A): 1, (A, 1): 1, (1, A): -1, (1, 1): -1}
-
-
 def test_fraction_coefficients_stay_exact():
     e = FreeElement([((A,), Fraction(1, 20))])
-    assert (e * 20).coefficient((A,)) == 1
-    assert (3 * e).coefficient((A,)) == Fraction(3, 20)
-
-
-@given(free_elements, free_elements, free_elements)
-def test_multiplication_associative(x, y, z):
-    assert (x * y) * z == x * (y * z)
-
-
-@given(free_elements, free_elements, free_elements)
-def test_multiplication_distributes(x, y, z):
-    assert x * (y + z) == x * y + x * z
-    assert (x + y) * z == x * z + y * z
+    assert (e + e).coefficient((A,)) == Fraction(1, 10)
+    assert (e - e - e).coefficient((A,)) == Fraction(-1, 20)
 
 
 @given(free_elements, free_elements)
@@ -159,7 +111,5 @@ def test_reduce_element_is_linear(x, y):
 
 
 def test_rendering():
-    e = FreeElement([((A, 1, 2), 24), ((1, A, 2), -36)])
-    assert str(e) == "24 A b1 b2 - 36 b1 A b2"
     assert word_str(()) == "1"
     assert pattern_str((0, A, 0)) == "b* A b*"

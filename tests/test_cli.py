@@ -145,13 +145,26 @@ def test_budget_exit_code(capsys):
     code, _, err = run(capsys, "verify", "even", "1000")
     assert code == 3 and "over 2^" in err
     # the budget is settled before any factorial-sized count or closed form is built
-    for argv in (("even", "1000000"), ("bremner", "2000"),
-                 ("bremner", str(10**40)), ("decomp", str(10**30)),
-                 ("bremner", "9" * 1500), ("decomp", "9" * 1500)):
+    for argv in (("verify", "even", "1000000"), ("verify", "bremner", "2000"),
+                 ("verify", "bremner", str(10**40)), ("verify", "decomp", str(10**30)),
+                 ("verify", "bremner", "9" * 1500), ("verify", "decomp", "9" * 1500),
+                 ("bench", "1000000"), ("bench", str(10**40))):
         start = perf_counter()
-        code, out, err = run(capsys, "verify", *argv)
+        code, out, err = run(capsys, *argv)
         assert perf_counter() - start < 1, argv
         assert code == 3 and out == "" and err.startswith("budget error:"), argv
+
+
+def test_expand_default_budget_fits_in_memory(capsys):
+    # 10! words: over expand's own default, far under everyone else's
+    start = perf_counter()
+    code, out, err = run(capsys, "expand", "[abcdefghij]")
+    assert perf_counter() - start < 1
+    assert code == 3 and out == "" and err.startswith("budget error:")
+    assert "term budget of 2000000" in err
+    parser = cli.build_parser()
+    assert parser.parse_args(["reduce", "[A b1]"]).budget == cli.DEFAULT_TERM_BUDGET
+    assert parser.parse_args(["expand", "[A b1]", "--budget", "7"]).budget == 7
 
 
 def test_malformed_role_is_an_input_error(capsys):
@@ -414,3 +427,12 @@ def test_bench_json_skips_oracle_over_budget(capsys):
     assert oracle_rows and all("skipped" in r["note"] for r in oracle_rows)
     fast_rows = [r for r in doc["rows"] if r["path"] == "fast"]
     assert fast_rows and all(r["classes"] == 13 for r in fast_rows)
+
+
+def test_bench_refuses_an_unprintable_word_count(capsys):
+    # L = 400 fits a budget of 10^9 collapsed words, but ((2L+1)!)^3 has
+    # about 5900 digits; refused before either shape is built
+    start = perf_counter()
+    code, out, err = run(capsys, "bench", "400", "--budget", str(10**9))
+    assert perf_counter() - start < 1
+    assert code == 4 and out == "" and err.startswith("unsupported:")

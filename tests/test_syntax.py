@@ -99,14 +99,6 @@ def test_render_examples():
     assert render(parse("[[A[bcd]e]fg]")) == "[[A [b1 b2 b3] b4] b5 b6]"
 
 
-def test_latex_render():
-    assert render(parse("[A b1]"), fmt="latex") == r"\left[ A B_{1} \right]"
-    assert (
-        render(parse("[(AD)b]"), fmt="latex")
-        == r"\left[ \left( A D \right) B_{1} \right]"
-    )
-
-
 # hypothesis AST generator used for the round-trip law
 
 atoms = st.one_of(
@@ -130,11 +122,6 @@ def expressions(depth=3):
 @given(expressions())
 def test_parse_render_roundtrip(expr):
     assert parse(render(expr)) == expr
-
-
-@given(expressions())
-def test_latex_render_total(expr):
-    assert render(expr, fmt="latex")
 
 
 def test_anti_index_validation():
