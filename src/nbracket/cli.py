@@ -307,8 +307,6 @@ def _bench_rows(L: int, budget: int, threads: int):
 
 
 def cmd_bench(args) -> int:
-    if args.L < 1:
-        raise UnsupportedParameter(f"half-order must be >= 1, got {args.L}")
     check_triple_budgets(args.L, args.budget)  # before the 6L-atom shapes are built
     require_printable([(2 * args.L + 1, 0)] * 3, "the word count ((2L+1)!)^3")
     rows = _bench_rows(args.L, args.budget, args.threads)

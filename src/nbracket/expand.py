@@ -3,8 +3,8 @@
 The *oracle* is literal.  ``_concat`` is the only place words are built: for
 each signed ordering of a bracket's entries, and each choice of one term per
 entry, it yields the signed concatenation; ``_terms`` applies it
-recursively, a product being a bracket with the single identity ordering.
-The oracle takes every ordering, ``signed_perm_range``, and streams the root
+recursively over every ordering, ``signed_perm_range``, a product being a
+bracket with the single identity ordering.  The oracle streams the root
 bracket's words straight into the canonical reduction, so memory stays
 bounded by the handful of classes even when the word count runs to millions.
 The root's orderings can be partitioned into lexicographic-rank blocks and
@@ -24,8 +24,8 @@ pairs and made dense patterns only at the root.  The oracle never uses these
 shortcuts, which is what makes the cross-check between routes mean something.
 
 ``profile_auto`` is the one place that chooses a route: the fast one, or the
-oracle on a bracket nesting more than two composite entries, which the fast
-route refuses.
+oracle on a bracket nesting more than two composite entries, which
+``_compose`` refuses when it reaches one.
 """
 
 import os
@@ -130,8 +130,8 @@ def _concat(lists, orderings):
             yield coeff, word
 
 
-def _terms(expr, orderings):
-    """Signed words of expr, a bracket's orderings taken from orderings(entries).
+def _terms(expr):
+    """Signed words of expr, every signed ordering of each bracket's entries.
 
     Entries are expanded into lists; the words of expr itself are streamed.
     Nothing is accumulated, so exactly the counted words are generated.
@@ -141,14 +141,10 @@ def _terms(expr, orderings):
     if not isinstance(expr, (Product, Bracket)):
         raise TypeError(f"not a bracket expression: {expr!r}")
     kids = _child_nodes(expr)
-    lists = [list(_terms(kid, orderings)) for kid in kids]
+    lists = [list(_terms(kid)) for kid in kids]
     if isinstance(expr, Bracket):
-        return _concat(lists, orderings(kids))
+        return _concat(lists, signed_perm_range(len(kids)))
     return _concat(lists, ((1, range(len(kids))),))
-
-
-def _literal_orderings(entries):
-    return signed_perm_range(len(entries))
 
 
 def _collapsed_orderings(total, special_pos):
@@ -195,7 +191,7 @@ def expand_bracket(entries, budget=DEFAULT_TERM_BUDGET) -> FreeElement:
 def expand_expr(expr, budget=DEFAULT_TERM_BUDGET) -> FreeElement:
     """Recursive literal expansion of a bracket expression."""
     check_budget(bracket_sizes(expr), budget, "expansion")
-    return FreeElement((w, c) for c, w in _terms(expr, _literal_orderings))
+    return FreeElement((w, c) for c, w in _terms(expr))
 
 
 def _profile_block(expr, rank_range=(0, None)):
@@ -204,8 +200,8 @@ def _profile_block(expr, rank_range=(0, None)):
     The default block is every ordering.
     """
     if not isinstance(expr, Bracket):
-        return reduce_terms(_terms(expr, _literal_orderings))
-    lists = [list(_terms(e, _literal_orderings)) for e in expr.entries]
+        return reduce_terms(_terms(expr))
+    lists = [list(_terms(e)) for e in expr.entries]
     return reduce_terms(_concat(lists, signed_perm_range(len(lists), *rank_range)))
 
 
@@ -235,29 +231,24 @@ def oracle_profile(expr, budget=DEFAULT_TERM_BUDGET, jobs=1):
 # fast route
 
 
-def _require_supported(expr):
-    """Refuse a bracket that nests more than two composite entries."""
-    composites = [kid for kid in _child_nodes(expr) if not isinstance(kid, Atom)]
-    if isinstance(expr, Bracket) and len(composites) > 2:
-        raise UnsupportedShapeError(
-            "bracket nests more than two composite entries; use the oracle route"
-        )
-    for kid in composites:
-        _require_supported(kid)
-
-
 def _compose(expr):
     """(class map, sorted family indices, width) of expr, keys sparse.
 
     A product is the identity placement with weight 1.  Entries without fixed
     symbols, whose single class is (), enter as scalars, so the placements
-    are summed by the offsets of the other entries alone.
+    are summed by the offsets of the other entries alone.  A bracket of more
+    than two composite entries is refused before any entry is composed.
     """
     if isinstance(expr, Atom):
         if is_anti(expr.symbol):
             return {(): 1}, (expr.symbol,), 1
         return {((0, expr.symbol),): 1}, (), 1
     kids = _child_nodes(expr)
+    # kept only until the oracle fallback goes (ROADMAP item 1)
+    if isinstance(expr, Bracket) and sum(not isinstance(kid, Atom) for kid in kids) > 2:
+        raise UnsupportedShapeError(
+            "bracket nests more than two composite entries; use the oracle route"
+        )
     others, widths, even, keyed, indices = [], [], [], [], []
     scale = 1  # the entries without fixed symbols are scalars
     for pos, kid in enumerate(kids):
@@ -320,7 +311,6 @@ def fast_profile(expr, budget=DEFAULT_TERM_BUDGET):
     """
     validate_unique_anti(expr)
     check_budget(bracket_sizes(expr, collapsed=True), budget, "fast expansion")
-    _require_supported(expr)
     classes, _, width = _compose(expr)
     return {tuple(dict(key).get(pos, ANTI_SLOT) for pos in range(width)): coeff
             for key, coeff in classes.items()}

@@ -44,6 +44,11 @@ class UnsupportedParameter(ValueError):
     """The identity is not defined (or not budgeted) at this parameter."""
 
 
+def _require_half_order(L):
+    if not isinstance(L, int) or L < 1:
+        raise UnsupportedParameter(f"half-order must be an integer >= 1, got {L}")
+
+
 # ---------------------------------------------------------------------------
 # closed forms
 
@@ -54,8 +59,7 @@ def reduced_multiplicity(n: int, L: int) -> int:
     Piecewise in n: (n+1)(4L-n)/2 up to n = 2L, the quadratic
     10L^2 - 6Ln + L + n^2 up to n = 3L, then the mirror value for larger n.
     """
-    if L < 1:
-        raise UnsupportedParameter(f"half-order must be >= 1, got {L}")
+    _require_half_order(L)
     if not 0 <= n <= 6 * L:
         raise UnsupportedParameter(f"class index {n} outside 0..{6 * L}")
     if n <= 2 * L:
@@ -66,6 +70,7 @@ def reduced_multiplicity(n: int, L: int) -> int:
 
 
 def multiplicity_prefactor(L: int) -> int:
+    _require_half_order(L)
     return factorial(2 * L + 1) * factorial(2 * L) * factorial(2 * L - 1)
 
 
@@ -106,13 +111,11 @@ class CoefficientProfile:
     @classmethod
     def from_classes(cls, classes, L: int):
         width = 6 * L + 1
-        expected = {one_fixed_pattern(n, width): n for n in range(width)}
-        stray = [p for p in classes if p not in expected]
-        if stray:
-            raise ValueError(f"unexpected class {pattern_str(stray[0])} for half-order {L}")
         m = [0] * width
         for pattern, coeff in classes.items():
-            n = expected[pattern]
+            if len(pattern) != width or pattern.count(ANTI_SLOT) != width - 1 or "A" not in pattern:
+                raise ValueError(f"unexpected class {pattern_str(pattern)} for half-order {L}")
+            n = pattern.index("A")
             m[n] = -coeff if n & 1 else coeff
         return cls(L, tuple(m))
 
@@ -282,7 +285,7 @@ def decomposition_target(L: int) -> Bracket:
 
 def decomposition_basis(L: int) -> list:
     """Flat (6L+1)-bracket and the bracket of A with two inner brackets."""
-    flat = Bracket((Atom("A"),) + _atoms(range(1, 6 * L + 1)))
+    flat = flat_bracket_expr(6 * L + 1, lead_fixed="A")
     first = Bracket(_atoms(range(1, 2 * L + 2)))
     second = Bracket(_atoms(range(2 * L + 2, 4 * L + 3)))
     paired = Bracket((Atom("A"), first, second) + _atoms(range(4 * L + 3, 6 * L + 1)))
@@ -292,6 +295,7 @@ def decomposition_basis(L: int) -> list:
 def _collapsed_sizes(L: int):
     """Collapsed (n, k) bracket sizes of split_shape(L), nested_shape(L) and
     each of decomposition_basis(L), worked out without building 6L atoms."""
+    _require_half_order(L)
     n = 2 * L + 1
     split, nested = [(n, n - 2), (n, n - 1), (n, n)], [(n, n - 1), (n, n - 2), (n, n)]
     return split, nested, [[(6 * L + 1, 6 * L)], [(n, n - 3), (n, n), (n, n)]]
@@ -340,6 +344,12 @@ def _require_odd_size(N):
         raise UnsupportedParameter(f"odd bracket size required, got {N}")
 
 
+def _odd_reduction(N, budget):
+    coefficients, witness = relate(fast_profile(double_action_expr(N), budget=budget),
+                                   [fast_profile(flat_bracket_expr(2 * N - 1), budget=budget)])
+    return None if coefficients is None else coefficients[0], witness
+
+
 def odd_reduction_constant(N: int, budget=DEFAULT_TERM_BUDGET) -> Fraction | None:
     """Constant k with profile(double action) = k * profile(flat bracket).
 
@@ -347,21 +357,15 @@ def odd_reduction_constant(N: int, budget=DEFAULT_TERM_BUDGET) -> Fraction | Non
     would falsify the reduction claim.
     """
     _require_odd_size(N)
-    double, flat = double_action_expr(N), flat_bracket_expr(2 * N - 1)
-    coefficients, _ = relate(fast_profile(double, budget=budget),
-                             [fast_profile(flat, budget=budget)])
-    return None if coefficients is None else coefficients[0]
+    return _odd_reduction(N, budget)[0]
 
 
 def verify_odd_reduction(N: int, budget=DEFAULT_TERM_BUDGET) -> IdentityReport:
     _require_odd_size(N)
     require_printable([(2 * N - 1, 0)], "the word count (2N-1)!")
-    double, flat = double_action_expr(N), flat_bracket_expr(2 * N - 1)
-    terms = naive_term_count(double) + naive_term_count(flat)
+    terms = word_count([(N, 0), (N, 0)]) + word_count([(2 * N - 1, 0)])
     start = perf_counter()
-    coefficients, witness = relate(fast_profile(double, budget=budget),
-                                   [fast_profile(flat, budget=budget)])
-    k = None if coefficients is None else coefficients[0]
+    k, witness = _odd_reduction(N, budget)
     elapsed = (perf_counter() - start) * 1e3
     return IdentityReport(
         identity="odd-reduce",
@@ -380,8 +384,7 @@ def bremner_profiles(L: int, budget=DEFAULT_TERM_BUDGET):
     Both come out of the fast route; the oracle cross-check lives in the test
     suite so the two routes stay independent.
     """
-    if L < 1:
-        raise UnsupportedParameter(f"half-order must be >= 1, got {L}")
+    _require_half_order(L)
     side1 = CoefficientProfile.from_classes(fast_profile(split_shape(L), budget=budget), L)
     side2 = CoefficientProfile.from_classes(fast_profile(nested_shape(L), budget=budget), L)
     return side1, side2
@@ -389,8 +392,6 @@ def bremner_profiles(L: int, budget=DEFAULT_TERM_BUDGET):
 
 def verify_bremner(L: int, budget=DEFAULT_TERM_BUDGET) -> IdentityReport:
     """Compare both triple-nesting profiles with each other and the closed form."""
-    if not isinstance(L, int) or L < 1:
-        raise UnsupportedParameter(f"half-order must be an integer >= 1, got {L}")
     terms = check_triple_budgets(L, budget)
     start = perf_counter()
     side1, side2 = bremner_profiles(L, budget=budget)
@@ -423,8 +424,7 @@ def verify_bremner(L: int, budget=DEFAULT_TERM_BUDGET) -> IdentityReport:
 def check_sums(L: int) -> IdentityReport:
     """Arithmetic checks: reduced coefficients sum to 2L(2L+1)^2 and the full
     multiplicities to ((2L+1)!)^3."""
-    if not isinstance(L, int) or L < 1:
-        raise UnsupportedParameter(f"half-order must be an integer >= 1, got {L}")
+    _require_half_order(L)
     require_printable([(2 * L + 1, 0)] * 3, "the multiplicity sum ((2L+1)!)^3")
     start = perf_counter()
     reduced_sum = sum(reduced_multiplicity(n, L) for n in range(6 * L + 1))
@@ -474,8 +474,6 @@ def decompose(target, basis, budget=DEFAULT_TERM_BUDGET):
 
 def verify_decomposition(L: int, budget=DEFAULT_TERM_BUDGET) -> IdentityReport:
     """Decompose the nested shape over the flat bracket and the paired shape."""
-    if not isinstance(L, int) or L < 1:
-        raise UnsupportedParameter(f"half-order must be an integer >= 1, got {L}")
     _, target_sizes, basis_sizes = _collapsed_sizes(L)
     for sizes in [target_sizes] + basis_sizes:
         check_budget(sizes, budget, "fast expansion")

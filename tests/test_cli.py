@@ -91,6 +91,14 @@ def test_reduce_small_profile(capsys):
     }
 
 
+def test_reduce_refuses_a_wide_bracket_below_the_root_on_the_fast_path(capsys):
+    wide = "[A [[b1 b2][b3 b4][b5 b6]] b7]"
+    code, out, err = run(capsys, "reduce", wide, "--path", "fast")
+    assert code == 4 and out == "" and err.startswith("unsupported:")
+    code, doc = run_json(capsys, "reduce", wide, "--path", "auto", "--format", "json")
+    assert code == 0 and doc["path"] == "oracle"
+
+
 def test_reduce_paths_agree(capsys):
     _, fast_doc = run_json(capsys, "reduce", "[[Abc][def]g]", "--format", "json",
                            "--path", "fast")
@@ -225,9 +233,11 @@ def test_violated_exit_code(capsys):
 
 
 def test_unsupported_parameter_exit_code(capsys):
-    code, _, err = run(capsys, "verify", "bremner", "0")
-    assert code == 4
-    assert "unsupported" in err
+    for argv in (("verify", "bremner"), ("verify", "sums"), ("verify", "decomp"), ("bench",)):
+        for L in ("0", "-1"):
+            code, out, err = run(capsys, *argv, L)
+            assert code == 4 and out == "", argv
+            assert err == f"unsupported: half-order must be an integer >= 1, got {L}\n", argv
     code, _, err = run(capsys, "verify", "odd-reduce", "4")
     assert code == 4
     for size in ("0", "-3"):

@@ -16,6 +16,7 @@ from nbracket.expand import (
     intercalate_two,
     naive_term_count,
     oracle_profile,
+    profile_auto,
 )
 from nbracket.syntax import Atom, Bracket, Product, parse
 
@@ -347,6 +348,22 @@ def test_fast_profile_rejects_wide_nestings():
     assert oracle_profile(expr) != {}
 
 
+def test_wide_brackets_below_the_root_are_refused_and_fall_back():
+    # the first profile vanishes; the second, of 3-brackets, keeps 4 classes
+    for text, size in (("[A [[b1 b2][b3 b4][b5 b6]] b7]", 0),
+                       ("[A [[b1 b2 b3][b4 b5 b6][b7 b8 b9]] b10]", 4)):
+        expr = parse(text)
+        with pytest.raises(UnsupportedShapeError):
+            fast_profile(expr)
+        classes, route = profile_auto(expr, budget=10**6)
+        assert route == "oracle" and classes == oracle_profile(expr), text
+        assert len(classes) == size, text
+    # a product of three brackets is composed, not refused
+    expr = parse("[A ([b1 b2][b3 b4][b5 b6]) b7]")
+    classes = oracle_profile(expr)
+    assert classes and profile_auto(expr, budget=10**6) == (classes, "fast")
+
+
 def test_kernel_generates_exactly_the_counted_words():
     # the budget gates rest on these counters: the literal count must equal
     # the number of words the oracle's kernel yields, and the fast route, which
@@ -354,7 +371,7 @@ def test_kernel_generates_exactly_the_counted_words():
     rng = random.Random(4417)
     for _ in range(25):
         expr = random_supported_shape(rng, max_naive=20_000)
-        literal = sum(1 for _ in expand._terms(expr, expand._literal_orderings))
+        literal = sum(1 for _ in expand._terms(expr))
         assert literal == naive_term_count(expr), expr
         collapsed = collapsed_term_count(expr)
         assert fast_profile(expr, budget=collapsed) == oracle_profile(expr), expr

@@ -49,8 +49,15 @@ def test_reduced_multiplicity_range_checks():
         reduced_multiplicity(-1, 1)
     with pytest.raises(UnsupportedParameter):
         reduced_multiplicity(7, 1)
-    with pytest.raises(UnsupportedParameter):
-        reduced_multiplicity(0, 0)
+    for L in (0, -1):
+        with pytest.raises(UnsupportedParameter):
+            reduced_multiplicity(0, L)
+    # the factorial prefactor refuses a bad half-order before math.factorial can
+    for call in (lambda: multiplicity_prefactor(0), lambda: CoefficientProfile.closed_form(0),
+                 lambda: CoefficientProfile.closed_form(-2),
+                 lambda: closed_form_multiplicity(0, 0)):
+        with pytest.raises(UnsupportedParameter, match="half-order must be an integer >= 1"):
+            call()
 
 
 def test_closed_form_multiplicity_values():
@@ -211,8 +218,10 @@ def test_verify_bremner_detects_perturbation(monkeypatch):
 
 
 def test_verify_bremner_rejects_bad_order():
-    with pytest.raises(UnsupportedParameter):
-        verify_bremner(0)
+    for L in (0, -1):
+        for call in (verify_bremner, bremner_profiles):
+            with pytest.raises(UnsupportedParameter):
+                call(L)
 
 
 def test_oracle_cross_check_half_order_one():
