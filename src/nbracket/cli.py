@@ -198,8 +198,7 @@ def cmd_reduce(args) -> int:
     require_printable(bracket_sizes(expr), "the word count")
     classes, used_path = profile_auto(expr, args.budget, args.threads, args.path)
     ordered = sorted(classes, key=word_sort_key)
-    resolution = intercalation_profile(classes)
-    profile = resolution[0] if resolution else None
+    profile = intercalation_profile(classes)
     if args.format == "json":
         payload = {
             "expr": render(expr),

@@ -88,6 +88,23 @@ def one_fixed_pattern(n, width):
     return (ANTI_SLOT,) * n + ("A",) + (ANTI_SLOT,) * (width - 1 - n)
 
 
+def _one_fixed(classes):
+    """(name, m) when all classes have one width and hold one fixed symbol, the same, among
+    family slots; m_n is (-1)^n times the class with it at n.  None otherwise or for {}."""
+    first = next(iter(classes), ())
+    name, width = next((s for s in first if s != ANTI_SLOT), None), len(first)
+    m = [0] * width
+    try:
+        for pattern, coeff in classes.items():
+            if len(pattern) != width or pattern.count(ANTI_SLOT) != width - 1:
+                return None
+            n = pattern.index(name)  # ValueError if another symbol holds the slot
+            m[n] = -coeff if n & 1 else coeff
+    except ValueError:
+        return None
+    return (name, m) if classes else None
+
+
 @dataclass(frozen=True)
 class CoefficientProfile:
     """Magnitudes m_n of a resolution sum_n (-1)^n m_n (n family factors,
@@ -110,41 +127,17 @@ class CoefficientProfile:
 
     @classmethod
     def from_classes(cls, classes, L: int):
-        width = 6 * L + 1
-        m = [0] * width
-        for pattern, coeff in classes.items():
-            if len(pattern) != width or pattern.count(ANTI_SLOT) != width - 1 or "A" not in pattern:
-                raise ValueError(f"unexpected class {pattern_str(pattern)} for half-order {L}")
-            n = pattern.index("A")
-            m[n] = -coeff if n & 1 else coeff
-        return cls(L, tuple(m))
+        """Read one-A classes of width 6L+1: none read as zeros, stray ones raise ValueError."""
+        found = _one_fixed(classes) if classes else ("A", [0] * (6 * L + 1))
+        if found is None or found[0] != "A" or len(found[1]) != 6 * L + 1:
+            raise ValueError(f"classes are not one-A classes of width {6 * L + 1}")
+        return cls(L, tuple(found[1]))
 
 
 def intercalation_profile(classes):
-    """(m list, arity) when every class intersperses exactly one fixed symbol.
-
-    Returns None when the classes do not form such a resolution (no fixed
-    symbol, several of them, or ragged arities).
-    """
-    if not classes:
-        return None
-    arities = set()
-    fixed_names = set()
-    for pattern in classes:
-        fixed_slots = [s for s in pattern if s != ANTI_SLOT]
-        if len(fixed_slots) != 1:
-            return None
-        fixed_names.add(fixed_slots[0])
-        arities.add(len(pattern) - 1)
-    if len(arities) != 1 or len(fixed_names) != 1:
-        return None
-    arity = arities.pop()
-    name = fixed_names.pop()
-    m = [0] * (arity + 1)
-    for pattern, coeff in classes.items():
-        n = pattern.index(name)
-        m[n] = -coeff if n & 1 else coeff
-    return m, arity
+    """The m list of ``_one_fixed(classes)``, or None."""
+    found = _one_fixed(classes)
+    return None if found is None else found[1]
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +294,16 @@ def _collapsed_sizes(L: int):
     return split, nested, [[(6 * L + 1, 6 * L)], [(n, n - 3), (n, n), (n, n)]]
 
 
+def _fast_budget_words(size_lists, budget) -> int:
+    """Check the fast budget of each collapsed size list in order; return their words."""
+    for sizes in size_lists:
+        check_budget(sizes, budget, "fast expansion")
+    return sum(map(word_count, size_lists))
+
+
 def check_triple_budgets(L: int, budget) -> int:
     """Check both triple nestings' fast budgets from L alone; return their words."""
-    sizes = _collapsed_sizes(L)[:2]
-    for shape_sizes in sizes:
-        check_budget(shape_sizes, budget, "fast expansion")
-    return sum(map(word_count, sizes))
+    return _fast_budget_words(_collapsed_sizes(L)[:2], budget)
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +395,7 @@ def verify_bremner(L: int, budget=DEFAULT_TERM_BUDGET) -> IdentityReport:
     closed = CoefficientProfile.closed_form(L)
     witness = None
     for n in range(closed.width):
-        values = (side1.m[n], side2.m[n], closed.m[n])
-        if len(set(values)) != 1:
+        if not side1.m[n] == side2.m[n] == closed.m[n]:
             witness = {
                 "n": n,
                 "pattern": pattern_str(one_fixed_pattern(n, closed.width)),
@@ -428,7 +424,7 @@ def check_sums(L: int) -> IdentityReport:
     require_printable([(2 * L + 1, 0)] * 3, "the multiplicity sum ((2L+1)!)^3")
     start = perf_counter()
     reduced_sum = sum(reduced_multiplicity(n, L) for n in range(6 * L + 1))
-    full_sum = sum(closed_form_multiplicity(n, L) for n in range(6 * L + 1))
+    full_sum = sum(CoefficientProfile.closed_form(L).m)
     expected_reduced = 2 * L * (2 * L + 1) ** 2
     expected_full = factorial(2 * L + 1) ** 3
     ok = reduced_sum == expected_reduced and full_sum == expected_full
@@ -475,8 +471,7 @@ def decompose(target, basis, budget=DEFAULT_TERM_BUDGET):
 def verify_decomposition(L: int, budget=DEFAULT_TERM_BUDGET) -> IdentityReport:
     """Decompose the nested shape over the flat bracket and the paired shape."""
     _, target_sizes, basis_sizes = _collapsed_sizes(L)
-    for sizes in [target_sizes] + basis_sizes:
-        check_budget(sizes, budget, "fast expansion")
+    terms = _fast_budget_words([target_sizes] + basis_sizes, budget)
     target = decomposition_target(L)
     basis = decomposition_basis(L)
     start = perf_counter()
@@ -494,7 +489,7 @@ def verify_decomposition(L: int, budget=DEFAULT_TERM_BUDGET) -> IdentityReport:
         params={"L": L},
         status="verified" if coefficients is not None else "violated",
         witness=witness,
-        terms=word_count(target_sizes) + sum(map(word_count, basis_sizes)),
+        terms=terms,
         details=details,
         elapsed_ms=elapsed,
     )

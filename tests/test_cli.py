@@ -91,6 +91,15 @@ def test_reduce_small_profile(capsys):
     }
 
 
+def test_reduce_profile_keeps_vanishing_classes(capsys):
+    code, out, _ = run(capsys, "reduce", "[A [b1 b2] b3]")
+    assert code == 0
+    assert out.splitlines()[-1] == "profile m_n: [0, -2, -2, 0] with class coefficient (-1)^n m_n"
+    for expr, profile in (("[A [b1 b2] b3]", [0, -2, -2, 0]), ("[A (b1 b2)]", [1, 0, -1])):
+        code, doc = run_json(capsys, "reduce", expr, "--format", "json")
+        assert code == 0 and doc["profile"] == profile
+
+
 def test_reduce_refuses_a_wide_bracket_below_the_root_on_the_fast_path(capsys):
     wide = "[A [[b1 b2][b3 b4][b5 b6]] b7]"
     code, out, err = run(capsys, "reduce", wide, "--path", "fast")

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import comb, factorial
+from time import perf_counter
 
 import pytest
 
@@ -73,6 +74,35 @@ def test_check_sums_examples():
         assert report.verified
         assert report.details["reduced_sum"] == reduced_sum
     assert check_sums(1).details["multiplicity_sum"] == str(216)
+
+
+def test_check_sums_refuses_exactly_the_sums_too_long_to_print():
+    # ((2L+1)!)^3 has 4300 digits at L = 304, the default limit, and 4317 at L = 305
+    assert check_sums(304).verified
+    with pytest.raises(UnsupportedParameter):
+        check_sums(305)
+
+
+def test_reports_time_themselves():
+    for verify, param in ((check_sums, 3), (verify_bremner, 1), (verify_even_gji, 4),
+                          (verify_odd_reduction, 3), (verify_decomposition, 1)):
+        start = perf_counter()
+        report = verify(param)
+        assert 0 <= report.elapsed_ms <= (perf_counter() - start) * 1e3, verify.__name__
+
+
+def test_check_sums_builds_the_prefactor_once(monkeypatch):
+    import nbracket.identities as identities
+
+    calls = []
+
+    def counted(L):
+        calls.append(L)
+        return multiplicity_prefactor(L)
+
+    monkeypatch.setattr(identities, "multiplicity_prefactor", counted)
+    assert check_sums(5).verified
+    assert calls == [5]
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +266,27 @@ def test_from_classes_rejects_stray_patterns():
         CoefficientProfile.from_classes({("A", "A"): 1}, 1)
 
 
+def test_from_classes_reads_no_classes_as_a_zero_profile(monkeypatch):
+    import nbracket.identities as identities
+
+    assert CoefficientProfile.from_classes({}, 1).m == (0,) * 7
+    # an empty fast profile is then a violation, not an internal error
+    monkeypatch.setattr(identities, "fast_profile", lambda expr, budget: {})
+    report = verify_bremner(1)
+    assert report.status == "violated" and report.profile == [0] * 7
+    assert report.witness == {"n": 0, "pattern": "A b* b* b* b* b* b*", "split": 0,
+                              "nested": 0, "closed_form": 24}
+
+
 def test_intercalation_profile_helper():
     classes = oracle_profile(parse("[A b1 b2]"))
-    assert intercalation_profile(classes) == ([2, 2, 2], 2)
+    assert intercalation_profile(classes) == [2, 2, 2]
     assert intercalation_profile({}) is None
     assert intercalation_profile(oracle_profile(parse("[ABC]"))) is None
+    # no fixed symbol, two different ones, ragged widths, one symbol twice
+    for classes in ({(0, 0): 1}, {("A", 0): 1, (0, "B"): 1}, {("A", 0): 1, (0, 0, "A"): 1},
+                    {("A", "A"): 1}):
+        assert intercalation_profile(classes) is None
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +369,11 @@ def test_relate_witnesses_the_first_class_no_combination_matches():
     assert witness == {"pattern": "b* b* b*", "coefficient": 1, "expected": 0}
     _, witness = relate({P1: 1, P2: 1}, [{P1: 2, P2: 1}])
     assert witness == {"pattern": "b* A b*", "coefficient": 1, "expected": "1/2"}
+
+
+def test_relate_reads_a_class_the_target_lacks_as_zero():
+    assert relate({("A", 0): 2}, [{("A", 0): 1, (0, "A"): 1}]) == (
+        None, {"pattern": "b* A", "coefficient": 0, "expected": 2})
 
 
 def test_relate_gives_the_minimum_norm_solution_of_a_dependent_basis():
