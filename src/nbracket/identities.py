@@ -89,8 +89,8 @@ def one_fixed_pattern(n, width):
 
 
 def _one_fixed(classes):
-    """(name, m) when all classes have one width and hold one fixed symbol, the same, among
-    family slots; m_n is (-1)^n times the class with it at n.  None otherwise or for {}."""
+    """(name, m) when all classes have one width and each holds the same single fixed
+    symbol among family slots; m_n is (-1)^n times the class with it at n.  Else None, as for {}."""
     first = next(iter(classes), ())
     name, width = next((s for s in first if s != ANTI_SLOT), None), len(first)
     m = [0] * width
