@@ -10,7 +10,6 @@ import json
 import os
 import sys
 import traceback
-from fractions import Fraction
 from functools import cache
 from time import perf_counter
 
@@ -28,6 +27,7 @@ from .expand import (
 )
 from .identities import (
     PROFILE_SIGN_CONVENTION,
+    CoefficientProfile,
     UnsupportedParameter,
     check_sums,
     check_triple_budgets,
@@ -131,12 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _coeff_text(coeff) -> str:
-    if isinstance(coeff, Fraction) and coeff.denominator != 1:
-        return f"+{coeff}" if coeff > 0 else str(coeff)
-    return f"{int(coeff):+d}"
-
-
 def latex_symbol(symbol) -> str:
     return f"B_{{{symbol}}}" if is_anti(symbol) else str(symbol)
 
@@ -188,7 +182,7 @@ def cmd_expand(args) -> int:
         if not words:
             print("0")
         for w in words:
-            print(f"{_coeff_text(element.coefficient(w))} {word_str(w)}")
+            print(f"{element.coefficient(w):+d} {word_str(w)}")
     return EXIT_OK
 
 
@@ -218,7 +212,7 @@ def cmd_reduce(args) -> int:
         if not ordered:
             print("0")
         for p in ordered:
-            print(f"{_coeff_text(classes[p])} {pattern_str(p)}")
+            print(f"{classes[p]:+d} {pattern_str(p)}")
         if profile is not None:
             print(f"profile m_n: {profile} with class coefficient (-1)^n m_n")
     return EXIT_OK
@@ -239,9 +233,10 @@ def cmd_verify(args) -> int:
         print(json.dumps(doc, indent=2))
     elif args.format == "latex":
         if report.profile:
-            width = len(report.profile)
-            print(_signed_series((-m if n & 1 else m, pattern_latex(one_fixed_pattern(n, width)))
-                                 for n, m in enumerate(report.profile)))
+            profile = CoefficientProfile(report.params["L"], tuple(report.profile))
+            print(_signed_series(
+                (profile.signed(n), pattern_latex(one_fixed_pattern(n, profile.width)))
+                for n in range(profile.width)))
         else:
             print(f"% {report.identity} {report.params}: {report.status}")
     else:

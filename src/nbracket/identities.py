@@ -173,6 +173,12 @@ class IdentityReport:
         }
 
 
+def _report(identity, params, start, ok, **fields):
+    """The report of a verifier run timed from ``start``; ``ok`` decides its status."""
+    return IdentityReport(identity, params, "verified" if ok else "violated",
+                          elapsed_ms=(perf_counter() - start) * 1e3, **fields)
+
+
 def require_printable(sizes, what):
     """Reject work whose report would hold about prod n!/k! over the (n, k)
     sizes, an integer too long for int-to-str conversion (a limit of 0, off,
@@ -324,16 +330,8 @@ def verify_even_gji(N: int, budget=DEFAULT_TERM_BUDGET) -> IdentityReport:
     start = perf_counter()
     classes = fast_profile(expr, budget=budget)
     _, witness = relate(classes, [])
-    elapsed = (perf_counter() - start) * 1e3
-    return IdentityReport(
-        identity="even",
-        params={"N": N},
-        status="verified" if witness is None else "violated",
-        witness=witness,
-        terms=naive_term_count(expr),
-        details={"surviving_classes": len(classes)},
-        elapsed_ms=elapsed,
-    )
+    return _report("even", {"N": N}, start, witness is None, witness=witness,
+                   terms=naive_term_count(expr), details={"surviving_classes": len(classes)})
 
 
 def _require_odd_size(N):
@@ -341,9 +339,15 @@ def _require_odd_size(N):
         raise UnsupportedParameter(f"odd bracket size required, got {N}")
 
 
+def _relation(target, basis, budget):
+    """``relate`` over the fast profiles of the target and of each basis shape."""
+    return relate(fast_profile(target, budget=budget),
+                  [fast_profile(b, budget=budget) for b in basis])
+
+
 def _odd_reduction(N, budget):
-    coefficients, witness = relate(fast_profile(double_action_expr(N), budget=budget),
-                                   [fast_profile(flat_bracket_expr(2 * N - 1), budget=budget)])
+    coefficients, witness = _relation(double_action_expr(N),
+                                      [flat_bracket_expr(2 * N - 1)], budget)
     return None if coefficients is None else coefficients[0], witness
 
 
@@ -362,17 +366,9 @@ def verify_odd_reduction(N: int, budget=DEFAULT_TERM_BUDGET) -> IdentityReport:
     require_printable([(2 * N - 1, 0)], "the word count (2N-1)!")
     terms = word_count([(N, 0), (N, 0)]) + word_count([(2 * N - 1, 0)])
     start = perf_counter()
-    k, witness = _odd_reduction(N, budget)
-    elapsed = (perf_counter() - start) * 1e3
-    return IdentityReport(
-        identity="odd-reduce",
-        params={"N": N},
-        status="verified" if k else "violated",
-        witness=witness,
-        terms=terms,
-        details={"constant": None if k is None else str(k)},
-        elapsed_ms=elapsed,
-    )
+    k, witness = _odd_reduction(N, budget)  # a zero constant is a violation too
+    return _report("odd-reduce", {"N": N}, start, k, witness=witness, terms=terms,
+                   details={"constant": None if k is None else str(k)})
 
 
 def bremner_profiles(L: int, budget=DEFAULT_TERM_BUDGET):
@@ -404,17 +400,8 @@ def verify_bremner(L: int, budget=DEFAULT_TERM_BUDGET) -> IdentityReport:
                 "closed_form": closed.m[n],
             }
             break
-    elapsed = (perf_counter() - start) * 1e3
-    return IdentityReport(
-        identity="bremner",
-        params={"L": L},
-        status="verified" if witness is None else "violated",
-        profile=list(side1.m),
-        witness=witness,
-        terms=terms,
-        details={"path": "fast"},
-        elapsed_ms=elapsed,
-    )
+    return _report("bremner", {"L": L}, start, witness is None, profile=list(side1.m),
+                   witness=witness, terms=terms, details={"path": "fast"})
 
 
 def check_sums(L: int) -> IdentityReport:
@@ -436,15 +423,8 @@ def check_sums(L: int) -> IdentityReport:
             "multiplicity_sum": str(full_sum),
             "expected_multiplicity_sum": str(expected_full),
         }
-    return IdentityReport(
-        identity="sums",
-        params={"L": L},
-        status="verified" if ok else "violated",
-        witness=witness,
-        terms=0,
-        details={"reduced_sum": reduced_sum, "multiplicity_sum": str(full_sum)},
-        elapsed_ms=(perf_counter() - start) * 1e3,
-    )
+    return _report("sums", {"L": L}, start, ok, witness=witness, terms=0,
+                   details={"reduced_sum": reduced_sum, "multiplicity_sum": str(full_sum)})
 
 
 # ---------------------------------------------------------------------------
@@ -475,21 +455,12 @@ def verify_decomposition(L: int, budget=DEFAULT_TERM_BUDGET) -> IdentityReport:
     target = decomposition_target(L)
     basis = decomposition_basis(L)
     start = perf_counter()
-    coefficients, witness = relate(fast_profile(target, budget=budget),
-                                   [fast_profile(b, budget=budget) for b in basis])
-    elapsed = (perf_counter() - start) * 1e3
+    coefficients, witness = _relation(target, basis, budget)
     details = {
         "target": render(target),
         "basis": [render(b) for b in basis],
         "coefficients": None if coefficients is None
         else [str(c) for c in coefficients],
     }
-    return IdentityReport(
-        identity="decomp",
-        params={"L": L},
-        status="verified" if coefficients is not None else "violated",
-        witness=witness,
-        terms=terms,
-        details=details,
-        elapsed_ms=elapsed,
-    )
+    return _report("decomp", {"L": L}, start, coefficients is not None, witness=witness,
+                   terms=terms, details=details)

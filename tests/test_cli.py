@@ -74,6 +74,15 @@ def test_expand_single_entry(capsys):
     assert out.strip() == "+1 A"
 
 
+def test_expand_of_cancelling_words(capsys):
+    for fmt in ("text", "latex"):
+        code, out, _ = run(capsys, "expand", "[AA]", "--format", fmt)
+        assert code == 0 and out == "0\n", fmt
+    code, doc = run_json(capsys, "expand", "[AA]", "--format", "json")
+    assert code == 0
+    assert doc["terms"] == [] and doc["count"] == 0
+
+
 def test_reduce_zero_profile(capsys):
     code, out, _ = run(capsys, "reduce", "[b1[b2 b3]]")
     assert code == 0
@@ -364,6 +373,20 @@ def test_record_appends_verified_reports(capsys, tmp_path):
     lines = [json.loads(line) for line in log.read_text().splitlines()]
     assert [doc["identity"] for doc in lines] == ["sums", "bremner"]
     assert all(doc["status"] == "verified" for doc in lines)
+
+
+def test_record_skips_a_violated_sums_report(capsys, tmp_path, monkeypatch):
+    import nbracket.identities as identities
+
+    true_values = identities.reduced_multiplicity
+    monkeypatch.setattr(identities, "reduced_multiplicity",
+                        lambda n, L: true_values(n, L) + (n == 2))
+    log = tmp_path / "results.ndjson"
+    log.write_text("")
+    code, out, _ = run(capsys, "verify", "sums", "1", "--record", str(log))
+    assert code == 1
+    assert "violated" in out
+    assert log.read_text() == ""
 
 
 def test_record_into_an_unwritable_path_is_an_input_error(capsys, tmp_path):

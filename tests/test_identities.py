@@ -105,6 +105,23 @@ def test_check_sums_builds_the_prefactor_once(monkeypatch):
     assert calls == [5]
 
 
+def test_check_sums_reports_both_sums_when_they_miss(monkeypatch):
+    import nbracket.identities as identities
+
+    true_values = identities.reduced_multiplicity
+
+    def perturbed(n, L):
+        value = true_values(n, L)
+        return value + 1 if n == 2 else value
+
+    # the mirror class n = 4 reads n = 2, so both gain 1
+    monkeypatch.setattr(identities, "reduced_multiplicity", perturbed)
+    report = check_sums(1)
+    assert report.status == "violated"
+    assert report.witness == {"reduced_sum": 20, "expected_reduced_sum": 18,
+                              "multiplicity_sum": "240", "expected_multiplicity_sum": "216"}
+
+
 # ---------------------------------------------------------------------------
 # shapes
 
@@ -178,6 +195,19 @@ def test_verify_odd_reduction_report():
     report = verify_odd_reduction(3)
     assert report.verified
     assert report.details["constant"] == "3/10"
+
+
+def test_a_zero_odd_reduction_constant_is_a_violation(monkeypatch):
+    import nbracket.identities as identities
+
+    true_profile = identities.fast_profile
+    victim = double_action_expr(3)
+    monkeypatch.setattr(identities, "fast_profile", lambda expr, budget:
+                        {} if expr == victim else true_profile(expr, budget=budget))
+    report = verify_odd_reduction(3)
+    assert report.status == "violated"
+    assert report.details == {"constant": "0"}
+    assert report.witness is None
 
 
 # ---------------------------------------------------------------------------
