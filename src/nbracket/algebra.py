@@ -36,8 +36,11 @@ def symbol_sort_key(symbol):
     return (0, symbol, 0)
 
 
-def word_sort_key(word):
-    return tuple(symbol_sort_key(s) for s in word)
+def sort_words(words) -> list:
+    """Words in symbol_sort_key order symbol by symbol, each symbol keyed once."""
+    words = list(words)
+    rank = {s: i for i, s in enumerate(sorted(set().union(*words), key=symbol_sort_key))}
+    return sorted(words, key=lambda w: tuple(map(rank.__getitem__, w)))
 
 
 def word_str(word) -> str:
@@ -131,8 +134,10 @@ class FreeElement:
         data = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for word, coeff in items:
-            coeff = _as_coefficient(coeff)
-            word = tuple(word)
+            if coeff.__class__ is not int:  # checked: bools and floats are refused
+                coeff = _as_coefficient(coeff)
+            if word.__class__ is not tuple:
+                word = tuple(word)
             value = data.get(word, 0) + coeff
             if value:
                 data[word] = value
@@ -159,7 +164,7 @@ class FreeElement:
         return self._terms.get(tuple(word), 0)
 
     def words_in_order(self):
-        return sorted(self._terms, key=word_sort_key)
+        return sort_words(self._terms)
 
     def __len__(self):
         return len(self._terms)

@@ -13,7 +13,7 @@ import traceback
 from functools import cache
 from time import perf_counter
 
-from .algebra import ANTI_SLOT, is_anti, pattern_str, word_sort_key, word_str
+from .algebra import ANTI_SLOT, is_anti, pattern_str, sort_words, symbol_str
 from .expand import (
     DEFAULT_TERM_BUDGET,
     TermBudgetExceeded,
@@ -151,6 +151,30 @@ def pattern_latex(pattern) -> str:
     return " ".join(out)
 
 
+_json_str = json.encoder.encode_basestring_ascii  # the C encoder where built
+
+
+def _json(value, indent="\n") -> str:
+    """``json.dumps(value, indent=2)`` for str-keyed dicts: ``indent`` selects
+    json's pure-Python encoder, so containers, strings and ints are written
+    here, the commonest leaves inline, and other scalars by json.dumps."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if value.__class__ is int:
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [_json_str(k) + ": " + (_json_str(v) if v.__class__ is str else
+                                        int.__repr__(v) if v.__class__ is int else _json(v, inner))
+                 for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [_json_str(v) if v.__class__ is str else
+                 int.__repr__(v) if v.__class__ is int else _json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    return json.dumps(value)
+
+
 def _signed_series(parts) -> str:
     """Join (coefficient, body) pairs into a +/- separated series."""
     chunks = []
@@ -166,23 +190,21 @@ def cmd_expand(args) -> int:
     expr = parse(args.expr, roles=_parse_roles(args.role))
     element = expand_expr(expr, budget=args.budget)
     words = element.words_in_order()
+    coeffs = list(map(dict(element.items()).__getitem__, words))
+    if args.format == "latex":
+        print(_signed_series(zip(coeffs, map(word_latex, words))))
+        return EXIT_OK
+    names = {s: symbol_str(s) for s in set().union(*words)}  # word_str, each symbol once
+    texts = [" ".join(map(names.__getitem__, w)) if w else "1" for w in words]
     if args.format == "json":
         payload = {
             "expr": render(expr),
-            "terms": [
-                {"coefficient": coeff_json(element.coefficient(w)), "word": word_str(w)}
-                for w in words
-            ],
+            "terms": [{"coefficient": coeff_json(c), "word": t} for c, t in zip(coeffs, texts)],
             "count": len(words),
         }
-        print(json.dumps(payload, indent=2))
-    elif args.format == "latex":
-        print(_signed_series((element.coefficient(w), word_latex(w)) for w in words))
+        print(_json(payload))
     else:
-        if not words:
-            print("0")
-        for w in words:
-            print(f"{element.coefficient(w):+d} {word_str(w)}")
+        print("\n".join(f"{c:+d} {t}" for c, t in zip(coeffs, texts)) or "0")
     return EXIT_OK
 
 
@@ -191,7 +213,7 @@ def cmd_reduce(args) -> int:
     # the word count bounds every coefficient, since each word counts +1 or -1
     require_printable(bracket_sizes(expr), "the word count")
     classes, used_path = profile_auto(expr, args.budget, args.threads, args.path)
-    ordered = sorted(classes, key=word_sort_key)
+    ordered = sort_words(classes)
     profile = intercalation_profile(classes)
     if args.format == "json":
         payload = {
@@ -205,7 +227,7 @@ def cmd_reduce(args) -> int:
             "profile_sign": PROFILE_SIGN_CONVENTION,
             "terms": naive_term_count(expr),
         }
-        print(json.dumps(payload, indent=2))
+        print(_json(payload))
     elif args.format == "latex":
         print(_signed_series((classes[p], pattern_latex(p)) for p in ordered))
     else:
@@ -230,7 +252,7 @@ def cmd_verify(args) -> int:
     report = _run_identity(args.identity, args.param, args.budget)
     doc = report.to_json_dict()
     if args.format == "json":
-        print(json.dumps(doc, indent=2))
+        print(_json(doc))
     elif args.format == "latex":
         if report.profile:
             profile = CoefficientProfile(report.params["L"], tuple(report.profile))
@@ -305,7 +327,7 @@ def cmd_bench(args) -> int:
     require_printable([(2 * args.L + 1, 0)] * 3, "the word count ((2L+1)!)^3")
     rows = _bench_rows(args.L, args.budget, args.threads)
     if args.format == "json":
-        print(json.dumps({"L": args.L, "rows": rows}, indent=2))
+        print(_json({"L": args.L, "rows": rows}))
         return EXIT_OK
     header = f"{'shape':<8}{'path':<12}{'words':>14}{'ms':>12}{'classes':>9}  note"
     print(header)

@@ -92,7 +92,8 @@ def bracket_sizes(expr, collapsed=False):
         atoms = sum(map(_is_family_atom, expr.entries)) if collapsed else 0
         sizes.append((len(expr.entries), atoms))
     for kid in _child_nodes(expr):
-        sizes += bracket_sizes(kid, collapsed)
+        if not isinstance(kid, Atom):
+            sizes += bracket_sizes(kid, collapsed)
     return sizes
 
 
@@ -312,8 +313,13 @@ def fast_profile(expr, budget=DEFAULT_TERM_BUDGET):
     validate_unique_anti(expr)
     check_budget(bracket_sizes(expr, collapsed=True), budget, "fast expansion")
     classes, _, width = _compose(expr)
-    return {tuple(dict(key).get(pos, ANTI_SLOT) for pos in range(width)): coeff
-            for key, coeff in classes.items()}
+    profile = {}
+    for key, coeff in classes.items():
+        pattern = [ANTI_SLOT] * width
+        for pos, symbol in key:
+            pattern[pos] = symbol
+        profile[tuple(pattern)] = coeff
+    return profile
 
 
 def profile_auto(expr, budget, jobs=1, path="auto"):

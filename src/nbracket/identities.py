@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import factorial, log10
 from time import perf_counter
 
-from .algebra import ANTI_SLOT, pattern_str, word_sort_key
+from .algebra import ANTI_SLOT, pattern_str, sort_words
 from .expand import (
     DEFAULT_TERM_BUDGET,
     check_budget,
@@ -205,42 +205,45 @@ def relate(target, basis):
     """Exact coefficients a with target = sum a_i basis_i, class by class.
 
     Target and basis are class maps.  Their classes are eliminated one at a
-    time in ``word_sort_key`` order.  Returns ``(coefficients, None)``, the
+    time in ``sort_words`` order.  Returns ``(coefficients, None)``, the
     minimum-norm solution when the basis is dependent, or ``(None, witness)``
     at the first class that no combination of the basis matching the earlier
     classes can match: ``{"pattern", "coefficient": the target's value,
     "expected": the value the basis gives there}``.
     """
     n = len(basis)
-    pivots = {}  # pivot column -> reduced row: basis values, then the target's
+    pivots = {}  # pivot column -> reduced row, basis values then the target's; integral
 
     def eliminate(row):
         """Fold row into the reduced rows; return its residue if it has no pivot."""
+        scale = 1  # rows fold by cross-multiplying, so this one is scale times the true row
         for c, pivot_row in pivots.items():
             if row[c]:
-                row = [x - row[c] * y for x, y in zip(row, pivot_row)]
+                x_c, y_c = row[c], pivot_row[c]
+                row = [x * y_c - x_c * y for x, y in zip(row, pivot_row)]
+                scale *= y_c
         c = next((c for c in range(n) if row[c]), None)
         if c is None:
-            return row[n]
-        row = [x / row[c] for x in row]
+            return Fraction(row[n], scale)
         for k, other in pivots.items():
             if other[c]:
-                pivots[k] = [x - other[c] * y for x, y in zip(other, row)]
+                x_c, y_c = other[c], row[c]
+                pivots[k] = [x * y_c - x_c * y for x, y in zip(other, row)]
         pivots[c] = row
         return 0
 
-    for pattern in sorted(set(target).union(*basis), key=word_sort_key):
+    for pattern in sort_words(set(target).union(*basis)):
         value = target.get(pattern, 0)
-        residue = eliminate([Fraction(b.get(pattern, 0)) for b in basis] + [Fraction(value)])
+        residue = eliminate([b.get(pattern, 0) for b in basis] + [value])
         if residue:
             return None, {"pattern": pattern_str(pattern), "coefficient": coeff_json(value),
                           "expected": coeff_json(value - residue)}
     # a dependent basis: the minimum-norm solution is orthogonal to the null space
-    nulls = [[-pivots[c][free] if c in pivots else Fraction(c == free) for c in range(n)]
-             for free in range(n) if free not in pivots]
+    nulls = [[Fraction(-pivots[c][free], pivots[c][c]) if c in pivots else Fraction(c == free)
+              for c in range(n)] for free in range(n) if free not in pivots]
     for null in nulls:
-        eliminate(null + [Fraction(0)])
-    return [pivots[c][n] for c in range(n)], None
+        eliminate(null + [0])
+    return [Fraction(pivots[c][n], pivots[c][c]) for c in range(n)], None
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +389,7 @@ def bremner_profiles(L: int, budget=DEFAULT_TERM_BUDGET):
 def verify_bremner(L: int, budget=DEFAULT_TERM_BUDGET) -> IdentityReport:
     """Compare both triple-nesting profiles with each other and the closed form."""
     terms = check_triple_budgets(L, budget)
+    require_printable([(2 * L + 1, 0)] * 3, "the profile ((2L+1)!)^3")
     start = perf_counter()
     side1, side2 = bremner_profiles(L, budget=budget)
     closed = CoefficientProfile.closed_form(L)

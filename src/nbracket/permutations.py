@@ -4,21 +4,19 @@ The oracle enumerates the n! signed orderings of bracket entries in
 lexicographic order, which is the order of ``itertools.permutations``.  A
 rank range picks one contiguous block of that order, so the enumeration can
 be partitioned among workers without coordination.
+
+Each ordering's sign is that of its Lehmer code's digit sum, its inversion
+count (Knuth, TAOCP 3, 5.1.1): the codes ``product(range(n), range(n - 1),
+..., range(1))`` come in the lexicographic order of the permutations.
 """
 
-from itertools import islice, permutations
+from itertools import combinations, islice, permutations, product, starmap
+from operator import gt
 
 
 def inversion_count(seq) -> int:
     """Number of out-of-order pairs (i < j with seq[i] > seq[j])."""
-    count = 0
-    n = len(seq)
-    for i in range(n - 1):
-        a = seq[i]
-        for j in range(i + 1, n):
-            if a > seq[j]:
-                count += 1
-    return count
+    return sum(starmap(gt, combinations(seq, 2)))
 
 
 def parity(seq) -> int:
@@ -27,6 +25,7 @@ def parity(seq) -> int:
 
 
 def signed_perm_range(n: int, start: int = 0, stop: int | None = None):
-    """Yield (sign, perm) for lexicographic ranks start..stop over range(n)."""
-    for perm in islice(permutations(range(n)), start, stop):
-        yield parity(perm), perm
+    """Iterate (sign, perm) for lexicographic ranks start..stop over range(n)."""
+    inversions = map(sum, product(*map(range, range(n, 0, -1))))
+    signs = (-1 if k & 1 else 1 for k in inversions)
+    return islice(zip(signs, permutations(range(n))), start, stop)

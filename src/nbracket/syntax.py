@@ -241,12 +241,12 @@ def render(expr) -> str:
 def walk_atoms(expr):
     if isinstance(expr, Atom):
         yield expr.symbol
-    elif isinstance(expr, Product):
-        for f in expr.factors:
-            yield from walk_atoms(f)
-    elif isinstance(expr, Bracket):
-        for e in expr.entries:
-            yield from walk_atoms(e)
+    elif isinstance(expr, (Product, Bracket)):
+        for kid in expr.factors if isinstance(expr, Product) else expr.entries:
+            if isinstance(kid, Atom):  # leaves are read here, not in a generator each
+                yield kid.symbol
+            else:
+                yield from walk_atoms(kid)
     else:
         raise TypeError(f"not a bracket expression: {expr!r}")
 

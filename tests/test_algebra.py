@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from nbracket.algebra import (
@@ -9,6 +10,8 @@ from nbracket.algebra import (
     pattern_str,
     reduce_element,
     reduce_terms,
+    sort_words,
+    symbol_sort_key,
     word_str,
 )
 
@@ -103,6 +106,14 @@ def test_fraction_coefficients_stay_exact():
     assert (e - e - e).coefficient((A,)) == Fraction(-1, 20)
 
 
+def test_inexact_coefficients_are_refused_and_words_become_tuples():
+    for coeff in (True, 1.0):
+        with pytest.raises(TypeError):
+            FreeElement([((A,), coeff)])
+    e = FreeElement([([A, 1], 2), ((A, 1), 1)])
+    assert words(e) == {(A, 1): 3}
+
+
 @given(free_elements, free_elements)
 def test_reduce_element_is_linear(x, y):
     left = reduce_element(x + y)
@@ -113,3 +124,19 @@ def test_reduce_element_is_linear(x, y):
 def test_rendering():
     assert word_str(()) == "1"
     assert pattern_str((0, A, 0)) == "b* A b*"
+
+
+# ---------------------------------------------------------------------------
+# word order
+
+
+def test_sort_words_puts_fixed_names_before_family_indices():
+    words_ = [(2,), (1, A), (), (Z,), (A, 2), (A,), (A, 1), (1,)]
+    assert sort_words(words_) == [(), (A,), (A, 1), (A, 2), (Z,), (1,), (1, A), (2,)]
+
+
+@given(st.lists(random_words(), max_size=20))
+def test_sort_words_equals_a_sort_by_per_symbol_keys(words_):
+    # a rank table read symbol by symbol gives the order of the symbols' own keys
+    expected = sorted(words_, key=lambda w: [symbol_sort_key(s) for s in w])
+    assert sort_words(words_) == expected

@@ -471,6 +471,39 @@ def test_bench_json_skips_oracle_over_budget(capsys):
     assert fast_rows and all(r["classes"] == 13 for r in fast_rows)
 
 
+def test_verify_bremner_refuses_an_unprintable_profile(capsys, monkeypatch):
+    # L = 305 fits a budget of 10^9 collapsed words, but its largest m_n would
+    # have 4314 digits; refused before either shape is built
+    start = perf_counter()
+    code, out, err = run(capsys, "verify", "bremner", "305", "--budget", str(10**9))
+    assert perf_counter() - start < 1
+    assert code == 4 and out == "" and err.startswith("unsupported:")
+    # L = 304 prints, with 4297 digits; the closed form stands in for the fast route
+    import nbracket.identities as identities
+
+    monkeypatch.setattr(identities, "bremner_profiles",
+                        lambda L, budget: (identities.CoefficientProfile.closed_form(L),) * 2)
+    code, doc = run_json(capsys, "verify", "bremner", "304", "--budget", str(10**9),
+                         "--format", "json")
+    assert code == 0 and doc["status"] == "verified"
+    assert max(len(str(m)) for m in doc["profile"]) == 4297
+
+
+json_values = st.recursive(
+    st.one_of(st.text(), st.integers(), st.integers(2**64, 2**80), st.integers(-2**80, -2**64),
+              st.floats(), st.booleans(), st.none()),
+    lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple),
+                            st.dictionaries(st.text(), inner)),
+    max_leaves=25,
+)
+
+
+@given(json_values)
+@example({"": [], "\x00é\u2028": {}, "n": [2**70, -2**70, 1.5, float("nan"), True, None]})
+def test_json_writer_matches_json_dumps_with_indent_2(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
 def test_bench_refuses_an_unprintable_word_count(capsys):
     # L = 400 fits a budget of 10^9 collapsed words, but ((2L+1)!)^3 has
     # about 5900 digits; refused before either shape is built

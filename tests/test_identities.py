@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb, factorial
 from time import perf_counter
@@ -11,6 +12,7 @@ from nbracket.identities import (
     bremner_profiles,
     check_sums,
     closed_form_multiplicity,
+    coeff_json,
     decompose,
     decomposition_basis,
     decomposition_target,
@@ -20,6 +22,7 @@ from nbracket.identities import (
     multiplicity_prefactor,
     nested_shape,
     odd_reduction_constant,
+    one_fixed_pattern,
     reduced_multiplicity,
     relate,
     split_shape,
@@ -28,6 +31,7 @@ from nbracket.identities import (
     verify_even_gji,
     verify_odd_reduction,
 )
+from nbracket.algebra import pattern_str, symbol_sort_key
 from nbracket.syntax import parse, render
 
 
@@ -382,7 +386,8 @@ P1, P2, P3, P4 = ("A", 0, 0), (0, "A", 0), (0, 0, "A"), (0, 0, 0)
 
 def test_relate_with_an_empty_basis_witnesses_the_first_class():
     assert relate({}, []) == ([], None)
-    # classes are taken in word_sort_key order, not in insertion order
+    # classes are taken in sort_words order, fixed names before family slots,
+    # not in insertion order
     assert relate({P3: 5, P2: -3}, []) == (
         None, {"pattern": "b* A b*", "coefficient": -3, "expected": 0})
 
@@ -410,6 +415,75 @@ def test_relate_gives_the_minimum_norm_solution_of_a_dependent_basis():
     assert relate({P1: 5}, [{P1: 1}, {P1: 2}]) == ([1, 2], None)
     coefficients, _ = relate({P1: 2, P2: 2, P3: 3}, [{P1: 1, P2: 1}, {P3: 1}, {P1: 1, P2: 1}])
     assert coefficients == [1, 3, 1]
+
+
+def fraction_relate(target, basis):
+    """``relate`` over Fraction rows, each pivot row scaled to a leading 1."""
+    n = len(basis)
+    pivots = {}
+
+    def eliminate(row):
+        for c, pivot_row in pivots.items():
+            if row[c]:
+                row = [x - row[c] * y for x, y in zip(row, pivot_row)]
+        c = next((c for c in range(n) if row[c]), None)
+        if c is None:
+            return row[n]
+        row = [x / row[c] for x in row]
+        for k, other in pivots.items():
+            if other[c]:
+                pivots[k] = [x - other[c] * y for x, y in zip(other, row)]
+        pivots[c] = row
+        return 0
+
+    for pattern in sorted(set(target).union(*basis),
+                          key=lambda w: [symbol_sort_key(s) for s in w]):
+        value = target.get(pattern, 0)
+        residue = eliminate([Fraction(b.get(pattern, 0)) for b in basis] + [Fraction(value)])
+        if residue:
+            return None, {"pattern": pattern_str(pattern), "coefficient": coeff_json(value),
+                          "expected": coeff_json(value - residue)}
+    nulls = [[-pivots[c][free] if c in pivots else Fraction(c == free) for c in range(n)]
+             for free in range(n) if free not in pivots]
+    for null in nulls:
+        eliminate(null + [Fraction(0)])
+    return [pivots[c][n] for c in range(n)], None
+
+
+CLASS_POOL = [one_fixed_pattern(n, 4) for n in range(4)] + [
+    ("A", "B", 0, 0), (0, "B", 0, "A"), ("B", 0, 0, 0), (0, 0, 0, 0)]
+
+
+def _combination(coefficients, maps):
+    total = {}
+    for a, m in zip(coefficients, maps):
+        for pattern, value in m.items():
+            total[pattern] = total.get(pattern, 0) + a * value
+    return {p: v for p, v in total.items() if v}
+
+
+def test_integral_relate_equals_the_fraction_elimination():
+    rng = random.Random(2024)
+    outcomes = set()
+    for _ in range(600):
+        classes = rng.sample(CLASS_POOL, rng.randint(1, len(CLASS_POOL)))
+
+        def random_map():
+            values = {c: rng.randint(-4, 4) for c in classes if rng.random() < 0.7}
+            return {c: v for c, v in values.items() if v}
+
+        basis = [random_map() for _ in range(rng.randint(1, 3))]
+        dependent = len(basis) > 1 and rng.random() < 0.4
+        if dependent:
+            basis[-1] = _combination([rng.randint(-3, 3) for _ in basis[:-1]], basis[:-1])
+        if rng.random() < 0.5:  # in the span
+            target = _combination([rng.randint(-5, 5) for _ in basis], basis)
+        else:
+            target = random_map()
+        expected = fraction_relate(target, basis)
+        assert relate(target, basis) == expected, (target, basis)
+        outcomes.add((expected[0] is None, dependent))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def _perturb_profile(monkeypatch, victim, extra):
