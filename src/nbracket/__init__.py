@@ -9,13 +9,11 @@ from .algebra import (
     pattern_str,
     reduce_element,
     reduce_terms,
-    word_str,
 )
 from .expand import (
     DEFAULT_TERM_BUDGET,
     TermBudgetExceeded,
     UnsupportedShapeError,
-    collapsed_term_count,
     expand_bracket,
     expand_expr,
     fast_profile,

@@ -43,10 +43,6 @@ def sort_words(words) -> list:
     return sorted(words, key=lambda w: tuple(map(rank.__getitem__, w)))
 
 
-def word_str(word) -> str:
-    return " ".join(symbol_str(s) for s in word) if word else "1"
-
-
 def pattern_str(pattern) -> str:
     """Display form of a canonical class, family slots shown as ``b*``."""
     if not pattern:

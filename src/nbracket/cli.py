@@ -89,18 +89,21 @@ def _common_options(budget: int) -> argparse.ArgumentParser:
     """The options every command takes; children share a parent's actions."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "latex"), default="text")
-    common.add_argument("--threads", type=_parse_threads, default=1, metavar="N",
-                        help="worker processes, or 'auto'")
     common.add_argument("--budget", type=_parse_budget, default=budget,
                         metavar="N", help="cap on generated words")
-    common.add_argument("--record", metavar="PATH",
-                        help="append verified reports to this JSON-lines log")
     return common
 
 
 @cache  # one parser per process, shared by every main(argv) call
 def build_parser() -> argparse.ArgumentParser:
     common = _common_options(DEFAULT_TERM_BUDGET)
+    threads = argparse.ArgumentParser(add_help=False)  # the commands that start workers
+    threads.add_argument("--threads", type=_parse_threads, default=1, metavar="N",
+                         help="worker processes, or 'auto'")
+    parsed = argparse.ArgumentParser(add_help=False)  # the commands that parse an expression
+    parsed.add_argument("expr")
+    parsed.add_argument("--role", action="append", metavar="LETTER=ROLE",
+                        help="override the case convention, e.g. --role Z=anti")
 
     parser = argparse.ArgumentParser(
         prog="nbracket",
@@ -108,24 +111,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("expand", parents=[_common_options(EXPAND_TERM_BUDGET)],
-                       help="expand an expression into signed words")
-    p.add_argument("expr")
-    p.add_argument("--role", action="append", metavar="LETTER=ROLE",
-                   help="override the case convention, e.g. --role Z=anti")
+    sub.add_parser("expand", parents=[_common_options(EXPAND_TERM_BUDGET), parsed],
+                   help="expand an expression into signed words")
 
-    p = sub.add_parser("reduce", parents=[common],
+    p = sub.add_parser("reduce", parents=[common, threads, parsed],
                        help="expand and reduce to canonical classes")
-    p.add_argument("expr")
-    p.add_argument("--role", action="append", metavar="LETTER=ROLE")
     p.add_argument("--path", choices=("auto", "oracle", "fast"), default="auto")
 
     p = sub.add_parser("verify", parents=[common], help="verify an identity")
     p.add_argument("identity", choices=IDENTITIES)
     p.add_argument("param", type=int,
                    help="bracket size N (even, odd-reduce) or half-order L")
+    p.add_argument("--record", metavar="PATH", help="append verified reports to a JSON-lines log")
 
-    p = sub.add_parser("bench", parents=[common],
+    p = sub.add_parser("bench", parents=[common, threads],
                        help="time the oracle and fast routes on both triple nestings")
     p.add_argument("L", type=int)
     return parser
@@ -194,7 +193,7 @@ def cmd_expand(args) -> int:
     if args.format == "latex":
         print(_signed_series(zip(coeffs, map(word_latex, words))))
         return EXIT_OK
-    names = {s: symbol_str(s) for s in set().union(*words)}  # word_str, each symbol once
+    names = {s: symbol_str(s) for s in set().union(*words)}  # each symbol's text once
     texts = [" ".join(map(names.__getitem__, w)) if w else "1" for w in words]
     if args.format == "json":
         payload = {
@@ -324,7 +323,6 @@ def _bench_rows(L: int, budget: int, threads: int):
 
 def cmd_bench(args) -> int:
     check_triple_budgets(args.L, args.budget)  # before the 6L-atom shapes are built
-    require_printable([(2 * args.L + 1, 0)] * 3, "the word count ((2L+1)!)^3")
     rows = _bench_rows(args.L, args.budget, args.threads)
     if args.format == "json":
         print(_json({"L": args.L, "rows": rows}))

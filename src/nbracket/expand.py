@@ -106,11 +106,6 @@ def naive_term_count(expr) -> int:
     return word_count(bracket_sizes(expr))
 
 
-def collapsed_term_count(expr) -> int:
-    """Words left once family-atom orderings collapse; the fast route's budget."""
-    return word_count(bracket_sizes(expr, collapsed=True))
-
-
 # ---------------------------------------------------------------------------
 # the kernel and its ordering sources
 

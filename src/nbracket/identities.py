@@ -22,6 +22,7 @@ their shapes; the oracle cross-checks live in the test suite.  Only
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 from math import factorial, log10
 from time import perf_counter
 
@@ -31,7 +32,6 @@ from .expand import (
     check_budget,
     count_bits,
     fast_profile,
-    naive_term_count,
     profile_auto,
     word_count,
 )
@@ -247,72 +247,89 @@ def relate(target, basis):
 
 
 # ---------------------------------------------------------------------------
-# bracket shapes
+# bracket shapes, each described once by a skeleton
 
 
-def _atoms(indices):
-    return tuple(Atom(i) for i in indices)
+def build(skeleton) -> Bracket:
+    """The bracket of a skeleton: a tuple of fixed names, ints k for k fresh
+    family atoms, and sub-skeletons.  Atoms number depth-first from 1."""
+    return _bracket(skeleton, count(1))
+
+
+def _bracket(entries, fresh):  # not a closure: a recursive one is a cycle left to gc
+    out = []
+    for e in entries:
+        out += (map(Atom, islice(fresh, e)) if isinstance(e, int)
+                else [_bracket(e, fresh) if isinstance(e, tuple) else Atom(e)])
+    return Bracket(tuple(out))
+
+
+def skeleton_sizes(skeleton, collapsed=False):
+    """``bracket_sizes(build(skeleton), collapsed)`` in O(depth): no atom is built."""
+    atoms = sum(e for e in skeleton if isinstance(e, int))
+    sizes = [(atoms + sum(not isinstance(e, int) for e in skeleton), atoms if collapsed else 0)]
+    return sum((skeleton_sizes(e, collapsed) for e in skeleton if isinstance(e, tuple)), sizes)
+
+
+# the verifiers' shapes by bracket size n: N for the first two, 2L+1 for the rest
+SKELETONS = {
+    "double action": lambda n: (n - 1, (n,)),
+    "odd reduction": lambda n: (2 * n - 1,),
+    "split": lambda n: (("A", n - 1), (n,), n - 2),
+    "nested": lambda n: (("A", (n,), n - 2), n - 1),
+    "flat": lambda n: ("A", 3 * n - 3),
+    "paired": lambda n: ("A", (n,), (n,), n - 3),
+}
+
+
+def _half_order_skeletons(L, *names):
+    _require_half_order(L)
+    return [SKELETONS[name](2 * L + 1) for name in names]
 
 
 def double_action_expr(N: int) -> Bracket:
     """One N-bracket acting on another: the inner bracket is the last entry."""
-    inner = Bracket(_atoms(range(N, 2 * N)))
-    return Bracket(_atoms(range(1, N)) + (inner,))
+    return build(SKELETONS["double action"](N))
 
 
 def flat_bracket_expr(size: int, lead_fixed: str | None = None) -> Bracket:
     """Flat bracket of ``size`` entries, optionally with a leading fixed symbol."""
-    if lead_fixed is None:
-        return Bracket(_atoms(range(1, size + 1)))
-    return Bracket((Atom(lead_fixed),) + _atoms(range(1, size)))
+    return build((size,) if lead_fixed is None else (lead_fixed, size - 1))
 
 
 def split_shape(L: int) -> Bracket:
     """[[A B1..B2L] [B_{2L+1}..B_{4L+1}] B_{4L+2}..B_{6L}]"""
-    head = Bracket((Atom("A"),) + _atoms(range(1, 2 * L + 1)))
-    inner = Bracket(_atoms(range(2 * L + 1, 4 * L + 2)))
-    return Bracket((head, inner) + _atoms(range(4 * L + 2, 6 * L + 1)))
+    return build(*_half_order_skeletons(L, "split"))
 
 
 def nested_shape(L: int) -> Bracket:
     """[[A [B1..B_{2L+1}] B_{2L+2}..B_{4L}] B_{4L+1}..B_{6L}]"""
-    inner = Bracket(_atoms(range(1, 2 * L + 2)))
-    middle = Bracket((Atom("A"), inner) + _atoms(range(2 * L + 2, 4 * L + 1)))
-    return Bracket((middle,) + _atoms(range(4 * L + 1, 6 * L + 1)))
+    return build(*_half_order_skeletons(L, "nested"))
 
 
-def decomposition_target(L: int) -> Bracket:
-    return nested_shape(L)
+decomposition_target = nested_shape
 
 
 def decomposition_basis(L: int) -> list:
     """Flat (6L+1)-bracket and the bracket of A with two inner brackets."""
-    flat = flat_bracket_expr(6 * L + 1, lead_fixed="A")
-    first = Bracket(_atoms(range(1, 2 * L + 2)))
-    second = Bracket(_atoms(range(2 * L + 2, 4 * L + 3)))
-    paired = Bracket((Atom("A"), first, second) + _atoms(range(4 * L + 3, 6 * L + 1)))
-    return [flat, paired]
+    return list(map(build, _half_order_skeletons(L, "flat", "paired")))
 
 
-def _collapsed_sizes(L: int):
-    """Collapsed (n, k) bracket sizes of split_shape(L), nested_shape(L) and
-    each of decomposition_basis(L), worked out without building 6L atoms."""
-    _require_half_order(L)
-    n = 2 * L + 1
-    split, nested = [(n, n - 2), (n, n - 1), (n, n)], [(n, n - 1), (n, n - 2), (n, n)]
-    return split, nested, [[(6 * L + 1, 6 * L)], [(n, n - 3), (n, n), (n, n)]]
-
-
-def _fast_budget_words(size_lists, budget) -> int:
-    """Check the fast budget of each collapsed size list in order; return their words."""
+def _fast_budget_words(skeletons, budget) -> int:
+    """Check the fast budget of each skeleton in order; return their collapsed words."""
+    size_lists = [skeleton_sizes(s, collapsed=True) for s in skeletons]
     for sizes in size_lists:
         check_budget(sizes, budget, "fast expansion")
     return sum(map(word_count, size_lists))
 
 
 def check_triple_budgets(L: int, budget) -> int:
-    """Check both triple nestings' fast budgets from L alone; return their words."""
-    return _fast_budget_words(_collapsed_sizes(L)[:2], budget)
+    """Check both triple nestings' fast budgets, then the print limit of their
+    word count ((2L+1)!)^3, from skeletons alone; return their collapsed words."""
+    split, nested = _half_order_skeletons(L, "split", "nested")
+    words = _fast_budget_words([split, nested], budget)
+    require_printable(skeleton_sizes(split), "the word count ((2L+1)!)^3")
+    return words
 
 
 # ---------------------------------------------------------------------------
@@ -327,14 +344,13 @@ def verify_even_gji(N: int, budget=DEFAULT_TERM_BUDGET) -> IdentityReport:
     """
     if not isinstance(N, int) or N < 2:
         raise UnsupportedParameter(f"bracket size must be an integer >= 2, got {N}")
-    # (N!)^2 literal words; settled before the 2N atoms are built
-    check_budget([(N, 0), (N, 0)], budget, "oracle expansion")
-    expr = double_action_expr(N)
+    sizes = skeleton_sizes(SKELETONS["double action"](N))  # (N!)^2 words, before 2N atoms
+    check_budget(sizes, budget, "oracle expansion")
     start = perf_counter()
-    classes = fast_profile(expr, budget=budget)
+    classes = fast_profile(double_action_expr(N), budget=budget)
     _, witness = relate(classes, [])
     return _report("even", {"N": N}, start, witness is None, witness=witness,
-                   terms=naive_term_count(expr), details={"surviving_classes": len(classes)})
+                   terms=word_count(sizes), details={"surviving_classes": len(classes)})
 
 
 def _require_odd_size(N):
@@ -349,8 +365,8 @@ def _relation(target, basis, budget):
 
 
 def _odd_reduction(N, budget):
-    coefficients, witness = _relation(double_action_expr(N),
-                                      [flat_bracket_expr(2 * N - 1)], budget)
+    double, flat = SKELETONS["double action"](N), SKELETONS["odd reduction"](N)
+    coefficients, witness = _relation(build(double), [build(flat)], budget)
     return None if coefficients is None else coefficients[0], witness
 
 
@@ -366,8 +382,9 @@ def odd_reduction_constant(N: int, budget=DEFAULT_TERM_BUDGET) -> Fraction | Non
 
 def verify_odd_reduction(N: int, budget=DEFAULT_TERM_BUDGET) -> IdentityReport:
     _require_odd_size(N)
-    require_printable([(2 * N - 1, 0)], "the word count (2N-1)!")
-    terms = word_count([(N, 0), (N, 0)]) + word_count([(2 * N - 1, 0)])
+    double, flat = SKELETONS["double action"](N), SKELETONS["odd reduction"](N)
+    require_printable(skeleton_sizes(flat), "the word count (2N-1)!")
+    terms = word_count(skeleton_sizes(double)) + word_count(skeleton_sizes(flat))
     start = perf_counter()
     k, witness = _odd_reduction(N, budget)  # a zero constant is a violation too
     return _report("odd-reduce", {"N": N}, start, k, witness=witness, terms=terms,
@@ -380,16 +397,13 @@ def bremner_profiles(L: int, budget=DEFAULT_TERM_BUDGET):
     Both come out of the fast route; the oracle cross-check lives in the test
     suite so the two routes stay independent.
     """
-    _require_half_order(L)
-    side1 = CoefficientProfile.from_classes(fast_profile(split_shape(L), budget=budget), L)
-    side2 = CoefficientProfile.from_classes(fast_profile(nested_shape(L), budget=budget), L)
-    return side1, side2
+    return tuple(CoefficientProfile.from_classes(fast_profile(build(s), budget=budget), L)
+                 for s in _half_order_skeletons(L, "split", "nested"))
 
 
 def verify_bremner(L: int, budget=DEFAULT_TERM_BUDGET) -> IdentityReport:
     """Compare both triple-nesting profiles with each other and the closed form."""
     terms = check_triple_budgets(L, budget)
-    require_printable([(2 * L + 1, 0)] * 3, "the profile ((2L+1)!)^3")
     start = perf_counter()
     side1, side2 = bremner_profiles(L, budget=budget)
     closed = CoefficientProfile.closed_form(L)
@@ -411,11 +425,11 @@ def verify_bremner(L: int, budget=DEFAULT_TERM_BUDGET) -> IdentityReport:
 def check_sums(L: int) -> IdentityReport:
     """Arithmetic checks: reduced coefficients sum to 2L(2L+1)^2 and the full
     multiplicities to ((2L+1)!)^3."""
-    _require_half_order(L)
-    require_printable([(2 * L + 1, 0)] * 3, "the multiplicity sum ((2L+1)!)^3")
+    split = skeleton_sizes(*_half_order_skeletons(L, "split"))  # the multiplicities sum its words
+    require_printable(split, "the multiplicity sum ((2L+1)!)^3")
     start = perf_counter()
     reduced_sum = sum(reduced_multiplicity(n, L) for n in range(6 * L + 1))
-    full_sum = sum(CoefficientProfile.closed_form(L).m)
+    full_sum = multiplicity_prefactor(L) * reduced_sum
     expected_reduced = 2 * L * (2 * L + 1) ** 2
     expected_full = factorial(2 * L + 1) ** 3
     ok = reduced_sum == expected_reduced and full_sum == expected_full
@@ -454,17 +468,15 @@ def decompose(target, basis, budget=DEFAULT_TERM_BUDGET):
 
 def verify_decomposition(L: int, budget=DEFAULT_TERM_BUDGET) -> IdentityReport:
     """Decompose the nested shape over the flat bracket and the paired shape."""
-    _, target_sizes, basis_sizes = _collapsed_sizes(L)
-    terms = _fast_budget_words([target_sizes] + basis_sizes, budget)
-    target = decomposition_target(L)
-    basis = decomposition_basis(L)
+    skeletons = _half_order_skeletons(L, "nested", "flat", "paired")
+    terms = _fast_budget_words(skeletons, budget)
+    target, *basis = map(build, skeletons)
     start = perf_counter()
     coefficients, witness = _relation(target, basis, budget)
     details = {
         "target": render(target),
         "basis": [render(b) for b in basis],
-        "coefficients": None if coefficients is None
-        else [str(c) for c in coefficients],
+        "coefficients": None if coefficients is None else [str(c) for c in coefficients],
     }
     return _report("decomp", {"L": L}, start, coefficients is not None, witness=witness,
                    terms=terms, details=details)

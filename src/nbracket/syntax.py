@@ -86,7 +86,7 @@ def _tokenize(text):
             continue
         if ch.isascii() and ch.isalpha():
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(("atom", (ch, text[i + 1:j]), i))
             i = j

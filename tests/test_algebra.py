@@ -12,7 +12,6 @@ from nbracket.algebra import (
     reduce_terms,
     sort_words,
     symbol_sort_key,
-    word_str,
 )
 
 A, Z = "A", "Z"
@@ -122,7 +121,6 @@ def test_reduce_element_is_linear(x, y):
 
 
 def test_rendering():
-    assert word_str(()) == "1"
     assert pattern_str((0, A, 0)) == "b* A b*"
 
 

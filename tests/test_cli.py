@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -294,9 +296,9 @@ commands = st.one_of(
     st.tuples(st.just("verify"), st.sampled_from(IDENTITIES), st.integers(-3, 400).map(str)),
 )
 # the last --budget wins over the test's own cap; no --threads value starts a pool
-COMMON_FLAGS = (("--budget", "1"), ("--budget", "100"), ("--threads", "1"))
+COMMON_FLAGS = (("--budget", "1"), ("--budget", "100"))
 ROLE_FLAGS = (("--role", "Z=anti"), ("--role", "z=fixed"), ("--role", "b=fixed"))
-PATH_FLAGS = (("--path", "auto"), ("--path", "oracle"), ("--path", "fast"))
+REDUCE_FLAGS = (("--path", "auto"), ("--path", "oracle"), ("--path", "fast"), ("--threads", "1"))
 MALFORMED_FLAGS = (("--budget", "0"), ("--budget", "-1"), ("--budget", "x"),
                    ("--threads", "0"), ("--threads", "x"), ("--no-such-flag",), ("-q",))
 MALFORMED_ROLES = (("--role", "zz=fixed"), ("--role", "Z=other"), ("--role", "=anti"),
@@ -308,7 +310,7 @@ def _with_flags(command):
     if command[0] in ("expand", "reduce"):
         choices += ROLE_FLAGS + MALFORMED_ROLES
     if command[0] == "reduce":
-        choices += PATH_FLAGS
+        choices += REDUCE_FLAGS
     return st.tuples(st.just(command), st.lists(st.sampled_from(choices), max_size=3))
 
 
@@ -321,7 +323,7 @@ WIDE_FLAT_BRACKET = "[" + " ".join(f"b{i}" for i in range(1, 1701)) + "]"
 @example((("reduce", WIDE_FLAT_BRACKET), []), "json")
 @example((("reduce", "[Z b1]"), [("--role", "Z=anti"), ("--path", "oracle")]), "json")
 @example((("verify", "even", "4"), [("--budget", "x")]), "json")
-@example((("verify", "even", "3"), [("--threads", "1")]), "json")
+@example((("reduce", "[A b1]"), [("--threads", "1")]), "json")
 def test_cli_exits_with_a_documented_code(command_and_flags, fmt):
     command, flags = command_and_flags
     argv = [*command, "--format", fmt, "--budget", "10000", *(a for f in flags for a in f)]
@@ -339,6 +341,25 @@ def test_cli_exits_with_a_documented_code(command_and_flags, fmt):
 
 # ---------------------------------------------------------------------------
 # one parser per process
+
+
+def test_each_command_lists_only_the_options_it_reads(capsys):
+    samples = {"expand": ["[A b1]"], "reduce": ["[A b1]"], "verify": ["sums", "1"], "bench": ["1"]}
+    for command, positionals in samples.items():
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        listed = set(re.findall(r"--[a-z]+", capsys.readouterr().out)) - {"--help"}
+        read = set()
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, name):
+                read.add(name)
+                return super().__getattribute__(name)
+
+        args = Recording(**vars(cli.build_parser().parse_args([command, *positionals])))
+        assert getattr(cli, f"cmd_{command}")(args) == 0
+        capsys.readouterr()
+        assert listed and listed <= {f"--{name}" for name in read}, command
 
 
 def test_parser_is_built_once():

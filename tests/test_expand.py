@@ -8,7 +8,7 @@ from nbracket.algebra import FreeElement
 from nbracket.expand import (
     TermBudgetExceeded,
     UnsupportedShapeError,
-    collapsed_term_count,
+    bracket_sizes,
     expand_bracket,
     expand_expr,
     fast_profile,
@@ -17,6 +17,7 @@ from nbracket.expand import (
     naive_term_count,
     oracle_profile,
     profile_auto,
+    word_count,
 )
 from nbracket.syntax import Atom, Bracket, Product, parse
 
@@ -373,7 +374,7 @@ def test_kernel_generates_exactly_the_counted_words():
         expr = random_supported_shape(rng, max_naive=20_000)
         literal = sum(1 for _ in expand._terms(expr))
         assert literal == naive_term_count(expr), expr
-        collapsed = collapsed_term_count(expr)
+        collapsed = word_count(bracket_sizes(expr, collapsed=True))
         assert fast_profile(expr, budget=collapsed) == oracle_profile(expr), expr
         with pytest.raises(TermBudgetExceeded):
             fast_profile(expr, budget=collapsed - 1)
@@ -382,7 +383,7 @@ def test_kernel_generates_exactly_the_counted_words():
 def test_collapsed_count_is_factorially_smaller():
     expr = parse("[[A[bcd]e]fg]")
     assert naive_term_count(expr) == 216
-    assert collapsed_term_count(expr) < 216
+    assert word_count(bracket_sizes(expr, collapsed=True)) < 216
     # family atoms collapse to one representative, fixed atoms cannot
-    assert collapsed_term_count(flat(4)) == 1
-    assert collapsed_term_count(parse("[ABCD]")) == factorial(4)
+    assert word_count(bracket_sizes(flat(4), collapsed=True)) == 1
+    assert word_count(bracket_sizes(parse("[ABCD]"), collapsed=True)) == factorial(4)

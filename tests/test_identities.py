@@ -5,11 +5,13 @@ from time import perf_counter
 
 import pytest
 
-from nbracket.expand import bracket_sizes, collapsed_term_count, fast_profile, oracle_profile
+from nbracket.expand import bracket_sizes, fast_profile, oracle_profile, word_count
 from nbracket.identities import (
+    SKELETONS,
     CoefficientProfile,
     UnsupportedParameter,
     bremner_profiles,
+    build,
     check_sums,
     closed_form_multiplicity,
     coeff_json,
@@ -25,6 +27,7 @@ from nbracket.identities import (
     one_fixed_pattern,
     reduced_multiplicity,
     relate,
+    skeleton_sizes,
     split_shape,
     verify_bremner,
     verify_decomposition,
@@ -32,7 +35,7 @@ from nbracket.identities import (
     verify_odd_reduction,
 )
 from nbracket.algebra import pattern_str, symbol_sort_key
-from nbracket.syntax import parse, render
+from nbracket.syntax import anti_indices, parse, render
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +139,8 @@ def test_shape_builders_match_notation():
     assert render(double_action_expr(2)) == "[b1 [b2 b3]]"
     assert render(flat_bracket_expr(3)) == "[b1 b2 b3]"
     assert render(flat_bracket_expr(3, lead_fixed="A")) == "[A b1 b2]"
+    assert [render(b) for b in decomposition_basis(1)] == ["[A b1 b2 b3 b4 b5 b6]",
+                                                           "[A [b1 b2 b3] [b4 b5 b6]]"]
     assert split_shape(1) == parse("[[Abc][def]g]")
     assert nested_shape(1) == parse("[[A[bcd]e]fg]")
 
@@ -232,14 +237,22 @@ def test_profiles_beyond_the_verification_limit():
         assert side1.m == side2.m == CoefficientProfile.closed_form(L).m, L
 
 
-def test_collapsed_sizes_are_those_of_the_built_shapes():
-    from nbracket.identities import _collapsed_sizes
-
-    for L in range(1, 7):
-        split, nested, basis = _collapsed_sizes(L)
-        built = [split_shape(L), nested_shape(L)] + decomposition_basis(L)
-        for sizes, expr in zip([split, nested] + basis, built):
-            assert sorted(sizes) == sorted(bracket_sizes(expr, collapsed=True)), (L, expr)
+def test_every_skeleton_builds_its_public_shape_and_knows_its_sizes():
+    by_half_order = {"split": split_shape, "nested": nested_shape,
+                     "flat": lambda L: decomposition_basis(L)[0],
+                     "paired": lambda L: decomposition_basis(L)[1]}
+    by_size = {"double action": double_action_expr,
+               "odd reduction": lambda N: flat_bracket_expr(2 * N - 1)}
+    assert set(SKELETONS) == set(by_half_order) | set(by_size)
+    cases = [(SKELETONS[name](2 * L + 1), shape(L))
+             for name, shape in by_half_order.items() for L in range(1, 7)]
+    cases += [(SKELETONS[name](N), shape(N)) for name, shape in by_size.items() for N in range(2, 14)]
+    for skeleton, expr in cases:
+        assert build(skeleton) == expr, skeleton
+        indices = anti_indices(expr)  # numbered depth-first from 1
+        assert indices == list(range(1, len(indices) + 1)), skeleton
+        for collapsed in (False, True):
+            assert skeleton_sizes(skeleton, collapsed) == bracket_sizes(expr, collapsed), skeleton
 
 
 def test_half_order_one_profile_values():
@@ -262,7 +275,8 @@ def test_verify_bremner_compares_real_profiles_at_large_order():
     assert report.verified
     assert report.details["path"] == "fast"
     assert report.profile == list(CoefficientProfile.closed_form(5).m)
-    assert report.terms == collapsed_term_count(split_shape(5)) + collapsed_term_count(nested_shape(5))
+    assert report.terms == sum(word_count(bracket_sizes(shape(5), collapsed=True))
+                               for shape in (split_shape, nested_shape))
 
 
 def test_verify_bremner_detects_perturbation(monkeypatch):

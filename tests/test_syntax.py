@@ -39,6 +39,8 @@ def test_nested_brackets():
 def test_explicit_indices_and_whitespace():
     assert parse(" [ A b2  b1 ] ") == Bracket((Atom("A"), Atom(2), Atom(1)))
     assert parse("[b12b3]") == Bracket((Atom(12), Atom(3)))
+    # any decimal digit int() reads is an index digit ("b²" is a parse error)
+    assert parse("[A b\u0663]") == Bracket((Atom("A"), Atom(3)))
 
 
 def test_bare_letters_skip_explicit_indices():
@@ -76,6 +78,7 @@ def test_role_overrides():
         ("[A3]", 1),
         ("[AB] C", 5),
         ("3", 0),
+        ("[A b²]", 4),
     ],
 )
 def test_parse_errors_carry_offsets(text, offset_hint):
