@@ -1,17 +1,17 @@
-"""Command-line front end: expand, reduce, verify, bench.
+"""Command-line front end: expand, reduce, verify, bench, read as `COMMANDS` declares them.
 
-Exit codes: 0 success/verified, 1 identity violated, 2 expression or input
-error, an unwritable --record log or a closed stdout, 3 term budget exceeded,
-4 unsupported parameter, 5 internal error (a bug; the traceback goes to stderr).
+Exit codes: 0 success, verified or help, 1 identity violated, 2 expression or input error
+(a malformed command line, an unwritable --record log or a closed stdout), 3 term budget
+exceeded, 4 unsupported parameter, 5 internal error (a bug; the traceback goes to stderr).
 """
 
-import argparse
 import json
 import os
+import re
 import sys
 import traceback
-from functools import cache
 from time import perf_counter
+from types import SimpleNamespace
 
 from .algebra import ANTI_SLOT, is_anti, pattern_str, sort_words, symbol_str
 from .expand import (
@@ -57,20 +57,19 @@ IDENTITIES = ("even", "odd-reduce", "bremner", "sums", "decomp")
 EXPAND_TERM_BUDGET = 2 * 10**6
 
 
-def _parse_threads(value: str) -> int:
-    if value == "auto":
-        return os.cpu_count() or 1
-    n = int(value)
-    if n < 1:
-        raise argparse.ArgumentTypeError("thread count must be positive")
-    return n
+class UsageError(ValueError):
+    """A malformed command line or option value: an input error."""
 
 
 def _parse_budget(value: str) -> int:
     n = int(value)
     if n < 1:
-        raise argparse.ArgumentTypeError("term budget must be positive")
+        raise UsageError("must be positive")
     return n
+
+
+def _parse_threads(value: str) -> int:
+    return os.cpu_count() or 1 if value == "auto" else _parse_budget(value)
 
 
 def _parse_roles(pairs):
@@ -78,56 +77,94 @@ def _parse_roles(pairs):
     for pair in pairs or ():
         letter, _, role = pair.partition("=")
         if len(letter) != 1 or not letter.isalpha() or role not in ("fixed", "anti"):
-            raise argparse.ArgumentTypeError(
-                f"role override must look like X=fixed or x=anti, got {pair!r}"
-            )
+            raise UsageError(f"role override must look like X=fixed or x=anti, got {pair!r}")
         roles[letter] = role
     return roles or None
 
 
-def _common_options(budget: int) -> argparse.ArgumentParser:
-    """The options every command takes; children share a parent's actions."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json", "latex"), default="text")
-    common.add_argument("--budget", type=_parse_budget, default=budget,
-                        metavar="N", help="cap on generated words")
-    return common
+def _common(budget=DEFAULT_TERM_BUDGET, formats=("text", "json", "latex")) -> dict:
+    return {"--format": (formats, "text", "|".join(formats), "output format"),
+            "--budget": (_parse_budget, budget, "N", "cap on generated words")}
 
 
-@cache  # one parser per process, shared by every main(argv) call
-def build_parser() -> argparse.ArgumentParser:
-    common = _common_options(DEFAULT_TERM_BUDGET)
-    threads = argparse.ArgumentParser(add_help=False)  # the commands that start workers
-    threads.add_argument("--threads", type=_parse_threads, default=1, metavar="N",
-                         help="worker processes, or 'auto'")
-    parsed = argparse.ArgumentParser(add_help=False)  # the commands that parse an expression
-    parsed.add_argument("expr")
-    parsed.add_argument("--role", action="append", metavar="LETTER=ROLE",
-                        help="override the case convention, e.g. --role Z=anti")
+# Each command's summary and arguments.  A name without dashes is a positional, read
+# in table order; an entry is (converter or choice tuple, default, metavar, help), and
+# the converter `list` collects every value of a repeated option.
+_THREADS = {"--threads": (_parse_threads, 1, "N", "worker processes, or 'auto'")}
+_EXPR = {"expr": (str, None, "EXPR", "an expression such as '[A b1 b2]'"),
+         "--role": (list, None, "LETTER=ROLE", "override the case convention, e.g. Z=anti")}
+COMMANDS = {
+    "expand": ("expand an expression into signed words", {**_EXPR, **_common(EXPAND_TERM_BUDGET)}),
+    "reduce": ("expand and reduce to canonical classes", {**_EXPR, **_common(), **_THREADS,
+               "--path": (("auto", "oracle", "fast"), "auto", "auto|oracle|fast", "route to run")}),
+    "verify": ("verify an identity",
+               {"identity": (IDENTITIES, None, "IDENTITY", "|".join(IDENTITIES)),
+                "param": (int, None, "PARAM", "bracket size N (even, odd-reduce) or half-order L"),
+                **_common(),
+                "--record": (str, None, "PATH", "append verified reports to a JSON-lines log")}),
+    "bench": ("time the oracle and fast routes on both triple nestings",
+              {"L": (int, None, "L", "half-order"), **_common(formats=("text", "json")),
+               **_THREADS}),
+}
+_is_option = re.compile(r"-(?!\d*\Z)").match  # "-" and "-3" are values
 
-    parser = argparse.ArgumentParser(
-        prog="nbracket",
-        description="Expand and verify totally antisymmetrized operator brackets.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("expand", parents=[_common_options(EXPAND_TERM_BUDGET), parsed],
-                   help="expand an expression into signed words")
+def _convert(converter, value: str, name: str):
+    try:
+        if isinstance(converter, tuple) and value not in converter:
+            raise UsageError(f"invalid choice {value!r} (choose from {', '.join(converter)})")
+        return value if isinstance(converter, tuple) else converter(value)
+    except ValueError as exc:  # int()'s own message names no argument
+        message = exc if isinstance(exc, UsageError) else f"invalid value {value!r}"
+        raise UsageError(f"{name}: {message}") from None
 
-    p = sub.add_parser("reduce", parents=[common, threads, parsed],
-                       help="expand and reduce to canonical classes")
-    p.add_argument("--path", choices=("auto", "oracle", "fast"), default="auto")
 
-    p = sub.add_parser("verify", parents=[common], help="verify an identity")
-    p.add_argument("identity", choices=IDENTITIES)
-    p.add_argument("param", type=int,
-                   help="bracket size N (even, odd-reduce) or half-order L")
-    p.add_argument("--record", metavar="PATH", help="append verified reports to a JSON-lines log")
+def _help(command=None) -> str:
+    """The program's help, or a command's: its usage line, summary and arguments."""
+    if command is None:  # every command's usage line and summary
+        return "\n\n".join(["Expand and verify totally antisymmetrized operator brackets.",
+                             *(_help(c).partition("\n\n")[0] for c in COMMANDS)])
+    about, table = COMMANDS[command]
+    rows = [(f"{k} {meta}" if k[0] == "-" else meta,
+             help if default is None else f"{help} (default: {default})")
+            for k, (_, default, meta, help) in table.items()]
+    usage = " ".join(f"[{left}]" if left[0] == "-" else left for left, _ in rows)
+    return "\n".join([f"nbracket {command} {usage}", f"    {about}", "", *(
+        f"  {left:<28}{right}" for left, right in rows + [("-h, --help", "show this help")])])
 
-    p = sub.add_parser("bench", parents=[common, threads],
-                       help="time the oracle and fast routes on both triple nestings")
-    p.add_argument("L", type=int)
-    return parser
+
+def read_argv(argv):
+    """The namespace of one command line, or the help text it asks for."""
+    command, *rest = argv or [""]
+    if command in ("-h", "--help"):
+        return _help()
+    if command not in COMMANDS:
+        raise UsageError(f"expected a command ({', '.join(COMMANDS)}), got {command!r}")
+    if "-h" in rest or "--help" in rest:  # wherever it stands
+        return _help(command)
+    table = COMMANDS[command][1]
+    values = {k.lstrip("-"): v[1] for k, v in table.items() if k[0] == "-"}
+    positionals = [k for k in table if k[0] != "-"]
+    tokens = iter(rest)
+    for token in tokens:
+        if not _is_option(token):
+            if not positionals:
+                raise UsageError(f"{command}: unexpected argument {token!r}")
+            name, value = positionals.pop(0), token
+        else:
+            name, eq, value = token.partition("=")
+            if name not in table:
+                raise UsageError(f"{command}: unrecognized option {name!r}")
+            if not eq:
+                value = next(tokens, None)
+                if value is None or _is_option(value):
+                    raise UsageError(f"{name}: expected a value")
+        conv, dest = table[name][0], name.lstrip("-")
+        values[dest] = ([*(values[dest] or ()), value] if conv is list
+                        else _convert(conv, value, name))
+    if positionals:
+        raise UsageError(f"{command}: missing argument {table[positionals[0]][2]}")
+    return SimpleNamespace(command=command, **values)
 
 
 def latex_symbol(symbol) -> str:
@@ -340,8 +377,11 @@ def cmd_bench(args) -> int:
 def main(argv=None) -> int:
     try:
         try:
-            args = build_parser().parse_args(argv)
-            # looked up per call, since the parser is cached
+            args = read_argv(sys.argv[1:] if argv is None else argv)
+            if isinstance(args, str):
+                print(args)
+                return EXIT_OK
+            # looked up per call, so a patched handler runs
             handler = {"expand": cmd_expand, "reduce": cmd_reduce,
                        "verify": cmd_verify, "bench": cmd_bench}[args.command]
             return handler(args)
@@ -350,7 +390,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (DuplicateAntiIndexError, argparse.ArgumentTypeError) as exc:
+    except (DuplicateAntiIndexError, UsageError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except TermBudgetExceeded as exc:

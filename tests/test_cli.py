@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import io
 import json
@@ -8,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 from time import perf_counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -190,9 +190,8 @@ def test_expand_default_budget_fits_in_memory(capsys):
     assert perf_counter() - start < 1
     assert code == 3 and out == "" and err.startswith("budget error:")
     assert "term budget of 2000000" in err
-    parser = cli.build_parser()
-    assert parser.parse_args(["reduce", "[A b1]"]).budget == cli.DEFAULT_TERM_BUDGET
-    assert parser.parse_args(["expand", "[A b1]", "--budget", "7"]).budget == 7
+    assert cli.read_argv(["reduce", "[A b1]"]).budget == cli.DEFAULT_TERM_BUDGET
+    assert cli.read_argv(["expand", "[A b1]", "--budget", "7"]).budget == 7
 
 
 def test_malformed_role_is_an_input_error(capsys):
@@ -225,8 +224,7 @@ def test_handlers_are_looked_up_per_call(capsys, monkeypatch):
 
 @pytest.mark.parametrize("unbuffered", ["1", ""])
 def test_closed_stdout_is_an_output_error(unbuffered):
-    # unbuffered, print itself fails; buffered, the final flush does.  Unbuffered,
-    # argparse drops its own failed --help write, so that case exits 0 silently
+    # unbuffered, print itself fails; buffered, the final flush does
     for argv in (["verify", "bremner", "2", "--format", "json"], ["--help"]):
         read_end, write_end = os.pipe()
         os.close(read_end)
@@ -238,12 +236,9 @@ def test_closed_stdout_is_an_output_error(unbuffered):
             )
         finally:
             os.close(write_end)
-        if unbuffered and argv == ["--help"]:
-            assert proc.returncode == 0 and proc.stderr == "", argv
-        else:
-            assert proc.returncode == 2, argv
-            assert proc.stderr.startswith("output error:"), argv
-            assert len(proc.stderr.splitlines()) == 1, argv
+        assert proc.returncode == 2, argv
+        assert proc.stderr.startswith("output error:"), argv
+        assert len(proc.stderr.splitlines()) == 1, argv
 
 
 def test_violated_exit_code(capsys):
@@ -280,13 +275,10 @@ def test_unsupported_parameter_exit_code(capsys):
 
 
 def _cli_exit_code(argv):
-    """(exit code, stdout) of one in-process request; argparse errors count by code."""
+    """(exit code, stdout) of one in-process request."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
     return code, out.getvalue()
 
 
@@ -340,30 +332,99 @@ def test_cli_exits_with_a_documented_code(command_and_flags, fmt):
 
 
 # ---------------------------------------------------------------------------
-# one parser per process
+# the command table
+
+
+DEFAULTS = {
+    "expand": {"expr": "[A b1]", "role": None, "format": "text", "budget": 2 * 10**6},
+    "reduce": {"expr": "[A b1]", "role": None, "format": "text", "budget": 10**8,
+               "threads": 1, "path": "auto"},
+    "verify": {"identity": "sums", "param": 1, "format": "text", "budget": 10**8,
+               "record": None},
+    "bench": {"L": 1, "format": "text", "budget": 10**8, "threads": 1},
+}
+
+
+def test_each_command_has_its_documented_defaults():
+    for command, values in DEFAULTS.items():
+        positionals = [str(values[k]) for k in ("expr", "identity", "param", "L") if k in values]
+        assert vars(cli.read_argv([command, *positionals])) == {"command": command, **values}
+
+
+@pytest.mark.parametrize("argv, changed", [
+    (["reduce", "[A b1]", "--format", "json"], {"format": "json"}),
+    (["reduce", "[A b1]", "--format=latex"], {"format": "latex"}),
+    (["reduce", "--path", "fast", "--threads=2", "[A b1]"], {"path": "fast", "threads": 2}),
+    (["reduce", "[A b1]", "--budget", "1", "--budget=100"], {"budget": 100}),
+    (["reduce", "[A b1]", "--role", "Z=anti", "--role=z=fixed"], {"role": ["Z=anti", "z=fixed"]}),
+    (["reduce", "[A b1]", "--threads", "auto"], {"threads": os.cpu_count() or 1}),
+    (["expand", "--role", "z=fixed", "[A b1]", "--budget", "7"], {"role": ["z=fixed"], "budget": 7}),
+    (["verify", "sums", "-1"], {"param": -1}),
+    (["verify", "--record", "log.ndjson", "sums", "1"], {"record": "log.ndjson"}),
+    (["bench", "-3", "--format", "json"], {"L": -3, "format": "json"}),
+])
+def test_reader_accepts_every_documented_spelling(argv, changed):
+    # options anywhere after the command, --name value or --name=value, the last
+    # value winning but --role appending; -<digits> is a positional
+    command = argv[0]
+    assert vars(cli.read_argv(argv)) == {"command": command, **DEFAULTS[command], **changed}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "sums", "1", "--no-such-flag"],
+    ["verify", "sums", "1", "-q"],
+    ["verify", "sums", "1", "--form", "json"],  # no unique-prefix abbreviations
+    ["verify", "sums", "1", "--", "--format"],  # no -- separator
+    ["verify", "sums", "1", "--format"],
+    ["verify", "sums", "1", "--record", "--format", "json"],
+    ["verify", "sums"],
+    ["verify", "sums", "1", "2"],
+    ["verify", "nonsense", "1"],
+    ["reduce", "[A b1]", "--path", "nowhere"],
+    ["verify", "sums", "x"],
+    ["bench", "1.5"],
+    [],
+    ["--format", "json", "verify", "sums", "1"],
+    ["frobnicate", "1"],
+])
+def test_malformed_command_line_is_one_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "", argv
+    assert err.startswith("input error:") and len(err.splitlines()) == 1, (argv, err)
+    with pytest.raises(cli.UsageError):
+        cli.read_argv(argv)
+
+
+def test_help_exits_0(capsys):
+    code, out, err = run(capsys, "--help")
+    assert code == 0 and err == ""
+    assert all(f"nbracket {command} " in out for command in cli.COMMANDS)
+    for command in cli.COMMANDS:
+        for flag in ("-h", "--help"):
+            code, out, err = run(capsys, command, flag)
+            assert code == 0 and err == "" and out.startswith(f"nbracket {command} ")
+    # help wins wherever it stands, even beside a malformed argument
+    code, out, _ = run(capsys, "verify", "nonsense", "--bogus", "-h")
+    assert code == 0 and "--record PATH" in out
 
 
 def test_each_command_lists_only_the_options_it_reads(capsys):
     samples = {"expand": ["[A b1]"], "reduce": ["[A b1]"], "verify": ["sums", "1"], "bench": ["1"]}
     for command, positionals in samples.items():
-        with pytest.raises(SystemExit):
-            main([command, "--help"])
-        listed = set(re.findall(r"--[a-z]+", capsys.readouterr().out)) - {"--help"}
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0
+        listed = set(re.findall(r"--[a-z]+", out)) - {"--help"}
         read = set()
 
-        class Recording(argparse.Namespace):
+        class Recording(SimpleNamespace):
             def __getattribute__(self, name):
                 read.add(name)
                 return super().__getattribute__(name)
 
-        args = Recording(**vars(cli.build_parser().parse_args([command, *positionals])))
+        args = Recording(**vars(cli.read_argv([command, *positionals])))
         assert getattr(cli, f"cmd_{command}")(args) == 0
         capsys.readouterr()
         assert listed and listed <= {f"--{name}" for name in read}, command
-
-
-def test_parser_is_built_once():
-    assert cli.build_parser() is cli.build_parser()
 
 
 def test_consecutive_calls_keep_no_state(capsys):
@@ -371,10 +432,8 @@ def test_consecutive_calls_keep_no_state(capsys):
     assert code == 0 and [c["pattern"] for c in doc["classes"]] == ["b* b*"]
     code, out, _ = run(capsys, "reduce", "[Z b1]")
     assert code == 0 and out.splitlines()[:2] == ["+1 Z b*", "-1 b* Z"]
-    with pytest.raises(SystemExit) as exc:
-        main(["reduce", "[A b1]", "--path", "nowhere"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    code, _, err = run(capsys, "reduce", "[A b1]", "--path", "nowhere")
+    assert code == 2 and err.startswith("input error:")
     code, out, _ = run(capsys, "expand", "[A b1]")
     assert code == 0 and out.splitlines() == ["+1 A b1", "-1 b1 A"]
 
@@ -480,6 +539,9 @@ def test_bench_text_table(capsys):
     assert lines[0].split() == ["shape", "path", "words", "ms", "classes", "note"]
     assert any("fast" in line and "split" in line for line in lines)
     assert any("oracle" in line and "nested" in line for line in lines)
+    # bench has no LaTeX table, so it refuses --format latex
+    code, out, err = run(capsys, "bench", "1", "--format", "latex")
+    assert code == 2 and out == "" and err.startswith("input error:")
 
 
 def test_bench_json_skips_oracle_over_budget(capsys):
