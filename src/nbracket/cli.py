@@ -10,6 +10,7 @@ import os
 import re
 import sys
 import traceback
+from itertools import count
 from time import perf_counter
 from types import SimpleNamespace
 
@@ -24,6 +25,7 @@ from .expand import (
     naive_term_count,
     oracle_profile,
     profile_auto,
+    word_count,
 )
 from .identities import (
     PROFILE_SIGN_CONVENTION,
@@ -76,7 +78,8 @@ def _parse_roles(pairs):
     roles = {}
     for pair in pairs or ():
         letter, _, role = pair.partition("=")
-        if len(letter) != 1 or not letter.isalpha() or role not in ("fixed", "anti"):
+        ascii_letter = len(letter) == 1 and letter.isascii() and letter.isalpha()
+        if not ascii_letter or role not in ("fixed", "anti"):
             raise UsageError(f"role override must look like X=fixed or x=anti, got {pair!r}")
         roles[letter] = role
     return roles or None
@@ -167,24 +170,12 @@ def read_argv(argv):
     return SimpleNamespace(command=command, **values)
 
 
-def latex_symbol(symbol) -> str:
-    return f"B_{{{symbol}}}" if is_anti(symbol) else str(symbol)
-
-
-def word_latex(word) -> str:
-    return " ".join(latex_symbol(s) for s in word)
-
-
-def pattern_latex(pattern) -> str:
-    out = []
-    slot = 0
-    for s in pattern:
-        if s == ANTI_SLOT:
-            slot += 1
-            out.append(f"B_{{{slot}}}")
-        else:
-            out.append(str(s))
-    return " ".join(out)
+def latex(word) -> str:
+    """A word or class pattern in LaTeX: family index i is B_{i}, and a pattern's
+    family slots (ANTI_SLOT) are B_{1}, B_{2}, ... from the left."""
+    slots = count(1)
+    return " ".join(f"B_{{{next(slots) if s == ANTI_SLOT else s}}}" if is_anti(s) else s
+                    for s in word)
 
 
 _json_str = json.encoder.encode_basestring_ascii  # the C encoder where built
@@ -228,7 +219,7 @@ def cmd_expand(args) -> int:
     words = element.words_in_order()
     coeffs = list(map(dict(element.items()).__getitem__, words))
     if args.format == "latex":
-        print(_signed_series(zip(coeffs, map(word_latex, words))))
+        print(_signed_series(zip(coeffs, map(latex, words))))
         return EXIT_OK
     names = {s: symbol_str(s) for s in set().union(*words)}  # each symbol's text once
     texts = [" ".join(map(names.__getitem__, w)) if w else "1" for w in words]
@@ -247,7 +238,8 @@ def cmd_expand(args) -> int:
 def cmd_reduce(args) -> int:
     expr = parse(args.expr, roles=_parse_roles(args.role))
     # the word count bounds every coefficient, since each word counts +1 or -1
-    require_printable(bracket_sizes(expr), "the word count")
+    sizes = bracket_sizes(expr)
+    require_printable(sizes, "the word count")
     classes, used_path = profile_auto(expr, args.budget, args.threads, args.path)
     ordered = sort_words(classes)
     profile = intercalation_profile(classes)
@@ -261,11 +253,11 @@ def cmd_reduce(args) -> int:
             ],
             "profile": profile,
             "profile_sign": PROFILE_SIGN_CONVENTION,
-            "terms": naive_term_count(expr),
+            "terms": word_count(sizes),
         }
         print(_json(payload))
     elif args.format == "latex":
-        print(_signed_series((classes[p], pattern_latex(p)) for p in ordered))
+        print(_signed_series((classes[p], latex(p)) for p in ordered))
     else:
         if not ordered:
             print("0")
@@ -293,7 +285,7 @@ def cmd_verify(args) -> int:
         if report.profile:
             profile = CoefficientProfile(report.params["L"], tuple(report.profile))
             print(_signed_series(
-                (profile.signed(n), pattern_latex(one_fixed_pattern(n, profile.width)))
+                (profile.signed(n), latex(one_fixed_pattern(n, profile.width)))
                 for n in range(profile.width)))
         else:
             print(f"% {report.identity} {report.params}: {report.status}")

@@ -1,11 +1,13 @@
 """Bracket-notation expressions: AST, parser, and ascii renderer.
 
-Grammar (whitespace ignored everywhere):
+Grammar (whitespace, as str.isspace() defines it, ignored everywhere):
 
     expr    :=  atom  |  '[' body ']'  |  '(' body ')'
     body    :=  groups separated by optional commas, each group one or more exprs
-    atom    :=  uppercase letter                      (fixed generator)
-             |  lowercase letter [decimal index >= 1] (antisymmetrized family)
+    atom    :=  ASCII uppercase letter                (fixed generator)
+             |  ASCII lowercase letter [index >= 1]   (antisymmetrized family)
+    index   :=  decimal digits as int() reads them (str.isdecimal()), at most
+                sys.get_int_max_str_digits() of them
 
 Square brackets build an N-bracket, parentheses an ordered product.  With no
 commas present, juxtaposed items are separate entries ("[abc]" is a
@@ -14,12 +16,15 @@ atoms inside a group form a product ("[AD,B,C]" means "[(AD)BC]").
 
 Bare lowercase letters receive family indices in order of first appearance,
 skipping any indices used explicitly, so "[bcd]" means "[b1 b2 b3]".  The
-renderer always writes family members as ``b<index>``, which makes
-parse(render(x)) the identity.  Nesting deeper than ``MAX_DEPTH`` brackets
-and parentheses is a ParseError.
+renderer writes family members as ``b<index>``, so parse(render(x)) == x under
+the default roles when every fixed symbol is uppercase.  Role overrides break
+that: with b fixed, "[b c]" renders as "[b b1]", which no roles parse back.
+Nesting deeper than ``MAX_DEPTH`` brackets and parentheses is a ParseError.
 """
 
+import re
 from dataclasses import dataclass
+from itertools import count, filterfalse
 
 from .algebra import is_anti, symbol_str
 
@@ -30,7 +35,7 @@ MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
-    """Malformed input; ``offset`` is the byte position of the problem."""
+    """Malformed input; ``offset`` is the character index of the problem."""
 
     def __init__(self, message, offset):
         super().__init__(f"{message} (offset {offset})")
@@ -71,97 +76,63 @@ BracketExpr = Atom | Product | Bracket
 # parsing
 
 
-def _tokenize(text):
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "[](),":
-            tokens.append((ch, None, i))
-            i += 1
-            continue
-        if ch.isascii() and ch.isalpha():
-            j = i + 1
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(("atom", (ch, text[i + 1:j]), i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    return tokens
-
-
-def _letter_role(letter, roles):
-    if roles and letter in roles:
-        role = roles[letter]
-        if role not in ("fixed", "anti"):
-            raise ValueError(f"role for {letter!r} must be 'fixed' or 'anti', got {role!r}")
-        return role
-    return "fixed" if letter.isupper() else "anti"
-
-
-def _bind_bare_letters(tokens, roles):
-    """Assign indices to bare family letters by first appearance.
-
-    Explicitly written indices are reserved first, so "[b2 a c]" gives a and
-    c the indices 1 and 3.
-    """
-    explicit = set()
-    for kind, value, offset in tokens:
-        if kind != "atom":
-            continue
-        letter, digits = value
-        if digits and _letter_role(letter, roles) == "anti":
-            index = int(digits)
-            if index < 1:
-                raise ParseError(f"family index must be >= 1, got {letter}{digits}", offset)
-            explicit.add(index)
-    assignment = {}
-    next_index = 1
-    for kind, value, _ in tokens:
-        if kind != "atom":
-            continue
-        letter, digits = value
-        if digits or _letter_role(letter, roles) != "anti" or letter in assignment:
-            continue
-        while next_index in explicit:
-            next_index += 1
-        assignment[letter] = next_index
-        next_index += 1
-    return assignment
+# A bracket, parenthesis or comma; an ASCII letter and its digits; or any other
+# character str.isspace() rejects, as \S does.  finditer steps over whitespace.
+_TOKEN = re.compile(r"([][(),])|([A-Za-z])(\d*)|(\S)")
 
 
 class _Parser:
+    """Tokens are (kind, value, offset): punctuation, ("atom", Atom), ("bare",
+    family letter), ("indexed", Atom of a fixed letter written with digits), or
+    the end (None, None, len(text)); ``primary`` reads them left to right."""
+
     def __init__(self, text, roles):
-        self.text = text
-        self.roles = roles
-        self.tokens = _tokenize(text)
-        self.bare = _bind_bare_letters(self.tokens, roles)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None, len(self.text))
-
-    def take(self):
-        token = self.peek()
-        self.pos += 1
-        return token
-
-    def parse(self):
-        expr = self.primary()
-        kind, _, offset = self.peek()
-        if kind is not None:
-            raise ParseError("trailing input after expression", offset)
-        return expr
+        roles = roles or {}
+        for letter, role in roles.items():
+            if role not in ("fixed", "anti"):
+                raise ValueError(f"role for {letter!r} must be 'fixed' or 'anti', got {role!r}")
+        self.tokens = tokens = []
+        explicit = set()
+        bad = None  # the first bad index waits until no character is unexpected
+        for match in _TOKEN.finditer(text):
+            punct, letter, digits, other = match.groups()
+            offset = match.start()
+            if punct:
+                tokens.append((punct, None, offset))
+            elif other:
+                raise ParseError(f"unexpected character {other!r}", offset)
+            elif roles.get(letter, "fixed" if letter.isupper() else "anti") == "fixed":
+                tokens.append(("indexed" if digits else "atom", Atom(letter), offset))
+            elif not digits:
+                tokens.append(("bare", letter, offset))
+            else:
+                try:
+                    index = int(digits)
+                except ValueError:  # more digits than int() reads
+                    bad = bad or ParseError(f"family index too long: {len(digits)} digits", offset)
+                    continue
+                if index < 1:
+                    bad = bad or ParseError(f"family index must be >= 1, got {match[0]}", offset)
+                explicit.add(index)
+                tokens.append(("atom", Atom(index), offset))
+        if bad:
+            raise bad
+        tokens.append((None, None, len(text)))
+        self.pos, self.bare = 0, {}
+        # "[b2 a c]": bare letters take the lowest indices no explicit one reserves
+        self.free = filterfalse(explicit.__contains__, count(1))
 
     def primary(self, depth=0):
-        kind, value, offset = self.take()
+        kind, value, offset = self.tokens[self.pos]
+        self.pos += 1
         if kind == "atom":
-            return Atom(self.atom_symbol(value, offset))
+            return value
+        if kind == "bare":  # numbered on first appearance, which is text order
+            if value not in self.bare:
+                self.bare[value] = Atom(next(self.free))
+            return self.bare[value]
+        if kind == "indexed":
+            raise ParseError(f"fixed symbol {value.symbol!r} takes no index", offset)
         if kind in ("[", "(") and depth == MAX_DEPTH:
             raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", offset)
         if kind == "[":
@@ -174,49 +145,44 @@ class _Parser:
 
     def body(self, closer, open_offset, depth):
         groups = [[]]
-        saw_comma = False
         while True:
-            kind, _, offset = self.peek()
+            kind, _, offset = self.tokens[self.pos]
+            if kind == closer:
+                break
             if kind is None:
                 raise ParseError(f"unclosed {'bracket' if closer == ']' else 'parenthesis'}", open_offset)
-            if kind == closer:
-                self.take()
-                break
             if kind in "])":
                 raise ParseError(f"mismatched {kind!r}", offset)
             if kind == ",":
                 if not groups[-1]:
                     raise ParseError("empty entry before comma", offset)
-                saw_comma = True
                 groups.append([])
-                self.take()
-                continue
-            groups[-1].append(self.primary(depth))
-        if saw_comma:
+                self.pos += 1
+            else:
+                groups[-1].append(self.primary(depth))
+        self.pos += 1
+        if len(groups) > 1:  # comma groups: juxtaposed items form a product
             if not groups[-1]:
-                raise ParseError("empty entry after comma", self.tokens[self.pos - 1][2])
+                raise ParseError("empty entry after comma", offset)
             return [g[0] if len(g) == 1 else Product(tuple(g)) for g in groups]
         if not groups[0]:
             raise ParseError(f"empty {'bracket' if closer == ']' else 'parentheses'}", open_offset)
         return groups[0]
-
-    def atom_symbol(self, value, offset):
-        letter, digits = value
-        if _letter_role(letter, self.roles) == "fixed":
-            if digits:
-                raise ParseError(f"fixed symbol {letter!r} takes no index", offset)
-            return letter
-        # _bind_bare_letters has already rejected indices below 1
-        return int(digits) if digits else self.bare[letter]
 
 
 def parse(text, roles=None):
     """Parse bracket notation into a BracketExpr.
 
     ``roles`` optionally overrides the case convention per letter, mapping a
-    letter to "fixed" or "anti".
+    letter to "fixed" or "anti"; any other role is a ValueError, whether or
+    not its letter occurs.
     """
-    return _Parser(text, roles).parse()
+    parser = _Parser(text, roles)
+    expr = parser.primary()
+    kind, _, offset = parser.tokens[parser.pos]
+    if kind is not None:
+        raise ParseError("trailing input after expression", offset)
+    return expr
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +190,7 @@ def parse(text, roles=None):
 
 
 def render(expr) -> str:
-    """Serialize an expression as ascii that re-parses to an equal AST."""
+    """Serialize as ascii, which re-parses to an equal AST if fixed symbols are uppercase."""
     if isinstance(expr, Atom):
         return symbol_str(expr.symbol)
     if isinstance(expr, Product):

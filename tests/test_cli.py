@@ -156,6 +156,10 @@ def test_parse_error_exit_code(capsys):
             code, _, err = run(capsys, command, opener * 2000 + "A" + closer * 2000)
             assert code == 2
             assert "parse error" in err and "offset 100" in err
+        # an index past int()'s digit limit, reported by its digit count
+        code, out, err = run(capsys, command, "[A b" + "7" * 5000 + "]")
+        assert code == 2 and out == ""
+        assert err == "parse error: family index too long: 5000 digits (offset 3)\n"
 
 
 def test_duplicate_index_exit_code(capsys):
@@ -195,8 +199,10 @@ def test_expand_default_budget_fits_in_memory(capsys):
 
 
 def test_malformed_role_is_an_input_error(capsys):
-    code, _, err = run(capsys, "reduce", "[a b]", "--role", "zz=fixed")
-    assert code == 2 and err.startswith("input error:")
+    # é is a letter to str.isalpha(), but expressions hold ASCII letters only
+    for override in ("zz=fixed", "é=fixed"):
+        code, _, err = run(capsys, "reduce", "[a b]", "--role", override)
+        assert code == 2 and err.startswith("input error:"), override
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):
@@ -294,7 +300,7 @@ REDUCE_FLAGS = (("--path", "auto"), ("--path", "oracle"), ("--path", "fast"), ("
 MALFORMED_FLAGS = (("--budget", "0"), ("--budget", "-1"), ("--budget", "x"),
                    ("--threads", "0"), ("--threads", "x"), ("--no-such-flag",), ("-q",))
 MALFORMED_ROLES = (("--role", "zz=fixed"), ("--role", "Z=other"), ("--role", "=anti"),
-                   ("--role", "Z"))
+                   ("--role", "Z"), ("--role", "é=fixed"))
 
 
 def _with_flags(command):

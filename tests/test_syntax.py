@@ -62,29 +62,43 @@ def test_role_overrides():
     assert parse("[Z1 Z2]", roles={"Z": "anti"}) == Bracket((Atom(1), Atom(2)))
 
 
-@pytest.mark.parametrize(
-    "text, offset_hint",
-    [
-        ("", 0),
-        ("[]", 0),
-        ("()", 0),
-        ("[A", 0),
-        ("A]", 1),
-        ("[A,,B]", 3),
-        ("[,A]", 1),
-        ("[A,B,]", 5),
-        ("[A?B]", 2),
-        ("[b0]", 1),
-        ("[A3]", 1),
-        ("[AB] C", 5),
-        ("3", 0),
-        ("[A b²]", 4),
-    ],
-)
-def test_parse_errors_carry_offsets(text, offset_hint):
+PARSE_ERRORS = [
+    ("", 0, "unexpected end of input"),
+    ("[]", 0, "empty bracket"),
+    ("()", 0, "empty parentheses"),
+    ("[A", 0, "unclosed bracket"),
+    ("(A", 0, "unclosed parenthesis"),
+    ("A]", 1, "trailing input"),
+    ("[A)", 2, "mismatched ')'"),
+    ("[A,,B]", 3, "empty entry before comma"),
+    ("[,A]", 1, "empty entry before comma"),
+    ("[A,B,]", 5, "empty entry after comma"),
+    (",", 0, "unexpected ','"),
+    ("[A?B]", 2, "unexpected character '?'"),
+    ("[b0]", 1, "family index must be >= 1, got b0"),
+    ("[A3]", 1, "fixed symbol 'A' takes no index"),
+    ("[AB] C", 5, "trailing input"),
+    ("3", 0, "unexpected character '3'"),
+    ("[A b²]", 4, "unexpected character '²'"),
+    # past int()'s digit limit: the count is reported, not the digits
+    ("[A b" + "7" * 5000 + "]", 3, "family index too long: 5000 digits"),
+    # every unexpected character is reported before any bad index
+    ("[b0 ?]", 4, "unexpected character '?'"),
+]
+
+
+@pytest.mark.parametrize("text, offset_hint, message", PARSE_ERRORS,
+                         ids=[f"{text[:12]}-{offset}" for text, offset, _ in PARSE_ERRORS])
+def test_parse_errors_carry_offsets(text, offset_hint, message):
     with pytest.raises(ParseError) as err:
         parse(text)
     assert err.value.offset == offset_hint
+    assert message in str(err.value)
+
+
+def test_roles_are_validated_whether_or_not_their_letter_occurs():
+    with pytest.raises(ValueError, match="must be 'fixed' or 'anti'"):
+        parse("[A]", roles={"q": "bogus"})
 
 
 @pytest.mark.parametrize("opener, closer", [("[", "]"), ("(", ")")])
