@@ -13,7 +13,6 @@ from .algebra import (
 from .expand import (
     DEFAULT_TERM_BUDGET,
     TermBudgetExceeded,
-    UnsupportedShapeError,
     expand_bracket,
     expand_expr,
     fast_profile,

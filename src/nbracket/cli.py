@@ -18,12 +18,12 @@ from .algebra import ANTI_SLOT, is_anti, pattern_str, sort_words, symbol_str
 from .expand import (
     DEFAULT_TERM_BUDGET,
     TermBudgetExceeded,
-    UnsupportedShapeError,
     bracket_sizes,
     expand_expr,
     fast_profile,
     naive_term_count,
     oracle_profile,
+    oracle_workers,
     profile_auto,
     word_count,
 )
@@ -337,13 +337,14 @@ def _bench_rows(L: int, budget: int, threads: int):
             "shape": name, "path": "oracle", "words": naive,
             "elapsed_ms": serial_s * 1e3, "classes": len(serial), "note": note,
         })
-        if threads > 1:
+        workers = oracle_workers(expr, threads)
+        if workers > 1:
             start = perf_counter()
-            oracle_profile(expr, budget=budget, jobs=threads)
+            oracle_profile(expr, budget=budget, jobs=workers)
             parallel_s = perf_counter() - start
             speedup = serial_s / parallel_s if parallel_s else 0.0
             rows.append({
-                "shape": name, "path": f"oracle x{threads}", "words": naive,
+                "shape": name, "path": f"oracle x{workers}", "words": naive,
                 "elapsed_ms": parallel_s * 1e3, "classes": len(serial),
                 "note": f"speedup {speedup:.2f}x vs single block",
             })
@@ -388,7 +389,7 @@ def main(argv=None) -> int:
     except TermBudgetExceeded as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (UnsupportedParameter, UnsupportedShapeError) as exc:
+    except UnsupportedParameter as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_PARAM
     except BrokenPipeError as exc:

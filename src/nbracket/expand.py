@@ -22,10 +22,7 @@ family atoms commute and an entry with even d flips the sign for each atom
 it passes.  Classes are keyed sparsely by their (position, fixed symbol)
 pairs and made dense patterns only at the root.  The oracle never uses these
 shortcuts, which is what makes the cross-check between routes mean something.
-
-``profile_auto`` is the one place that chooses a route: the fast one, or the
-oracle on a bracket nesting more than two composite entries, which
-``_compose`` refuses when it reaches one.
+Both routes cover every shape; ``profile_auto`` is the one place that picks one.
 """
 
 import os
@@ -42,10 +39,6 @@ DEFAULT_TERM_BUDGET = 10**8
 
 class TermBudgetExceeded(RuntimeError):
     """An expansion would generate more words than the configured budget."""
-
-
-class UnsupportedShapeError(ValueError):
-    """The fast route does not cover this nesting; use the oracle route."""
 
 
 def count_bits(sizes) -> float:
@@ -201,20 +194,24 @@ def _profile_block(expr, rank_range=(0, None)):
     return reduce_terms(_concat(lists, signed_perm_range(len(lists), *rank_range)))
 
 
+def oracle_workers(expr, jobs):
+    """``jobs`` capped at ``os.cpu_count()`` and the root bracket's n! orderings."""
+    root = expr.entries if isinstance(expr, Bracket) else ()
+    return min(jobs, os.cpu_count() or 1, factorial(len(root)))
+
+
 def oracle_profile(expr, budget=DEFAULT_TERM_BUDGET, jobs=1):
     """Ground-truth profile: literal expansion with eager canonical reduction.
 
-    ``jobs`` > 1 splits the outermost bracket's orderings into contiguous
-    lexicographic-rank blocks handled by at most ``os.cpu_count()`` worker
-    processes; partial class maps merge additively and the result is
-    identical for any block layout.
+    With more than one ``oracle_workers``, the root bracket's orderings split
+    into contiguous lexicographic-rank blocks, one per worker process, whose
+    class maps merge additively to the same result for any block layout.
     """
     validate_unique_anti(expr)
     check_budget(bracket_sizes(expr), budget, "oracle expansion")
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs > 1 and isinstance(expr, Bracket):
+    jobs = oracle_workers(expr, jobs)
+    if jobs > 1:
         total = factorial(len(expr.entries))
-        jobs = min(jobs, total)
         step = -(-total // jobs)
         blocks = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -232,19 +229,13 @@ def _compose(expr):
 
     A product is the identity placement with weight 1.  Entries without fixed
     symbols, whose single class is (), enter as scalars, so the placements
-    are summed by the offsets of the other entries alone.  A bracket of more
-    than two composite entries is refused before any entry is composed.
+    are summed by the offsets of the other entries alone.
     """
     if isinstance(expr, Atom):
         if is_anti(expr.symbol):
             return {(): 1}, (expr.symbol,), 1
         return {((0, expr.symbol),): 1}, (), 1
     kids = _child_nodes(expr)
-    # kept only until the oracle fallback goes (ROADMAP item 1)
-    if isinstance(expr, Bracket) and sum(not isinstance(kid, Atom) for kid in kids) > 2:
-        raise UnsupportedShapeError(
-            "bracket nests more than two composite entries; use the oracle route"
-        )
     others, widths, even, keyed, indices = [], [], [], [], []
     scale = 1  # the entries without fixed symbols are scalars
     for pos, kid in enumerate(kids):
@@ -300,11 +291,7 @@ def _compose(expr):
 
 
 def fast_profile(expr, budget=DEFAULT_TERM_BUDGET):
-    """Profile by composing class maps bottom-up; equals oracle_profile.
-
-    Raises UnsupportedShapeError when a bracket nests more than two composite
-    entries.
-    """
+    """Profile by composing class maps bottom-up; equals oracle_profile."""
     validate_unique_anti(expr)
     check_budget(bracket_sizes(expr, collapsed=True), budget, "fast expansion")
     classes, _, width = _compose(expr)
@@ -317,15 +304,24 @@ def fast_profile(expr, budget=DEFAULT_TERM_BUDGET):
     return profile
 
 
+def _is_wide(expr):
+    """Whether a bracket anywhere in expr holds more than two composite entries."""
+    kids = _child_nodes(expr)
+    return (isinstance(expr, Bracket) and sum(not isinstance(k, Atom) for k in kids) > 2
+            or any(map(_is_wide, kids)))
+
+
 def profile_auto(expr, budget, jobs=1, path="auto"):
-    """``(classes, route)``: the fast route, falling back to the oracle on
-    shapes it does not cover unless ``path`` names one route."""
-    if path != "oracle":
-        try:
-            return fast_profile(expr, budget=budget), "fast"
-        except UnsupportedShapeError:
-            if path == "fast":
-                raise
+    """``(classes, route)`` from the route ``path`` names.  ``auto`` keeps the
+    routes and errors of the fast route that refused wide brackets: the oracle,
+    after the fast route's checks, where ``_is_wide``; the fast route elsewhere."""
+    if path == "auto":
+        path = "oracle" if _is_wide(expr) else "fast"
+        if path == "oracle":
+            validate_unique_anti(expr)
+            check_budget(bracket_sizes(expr, collapsed=True), budget, "fast expansion")
+    if path == "fast":
+        return fast_profile(expr, budget=budget), "fast"
     return oracle_profile(expr, budget=budget, jobs=jobs), "oracle"
 
 

@@ -14,9 +14,8 @@ Covered identities, each reported through IdentityReport:
 * ``decomp``     the exact decomposition of the nested shape over a flat
                  (6L+1)-bracket and a bracket of two inner brackets.
 
-Every verifier takes its profiles from the fast route, which covers all of
-their shapes; the oracle cross-checks live in the test suite.  Only
-``decompose``, which takes arbitrary shapes, may fall back to the oracle.
+Every verifier, and ``decompose``, takes its profiles from the fast route,
+which covers every shape; the oracle cross-checks live in the test suite.
 """
 
 import sys
@@ -32,7 +31,6 @@ from .expand import (
     check_budget,
     count_bits,
     fast_profile,
-    profile_auto,
     word_count,
 )
 from .syntax import Atom, Bracket, anti_indices, render
@@ -453,8 +451,7 @@ def decompose(target, basis, budget=DEFAULT_TERM_BUDGET):
     """Exact rationals a_i with profile(target) = sum a_i profile(basis_i).
 
     Returns None when the target profile is outside the basis span.  Target
-    and basis must use the same family index set.  Profiles come from
-    ``profile_auto``, so shapes the fast route refuses go to the oracle.
+    and basis must use the same family index set.
     """
     target_set = set(anti_indices(target))
     for expr in basis:
@@ -462,8 +459,7 @@ def decompose(target, basis, budget=DEFAULT_TERM_BUDGET):
             raise ValueError(
                 f"basis entry {render(expr)} does not use the target's family indices"
             )
-    return relate(profile_auto(target, budget)[0],
-                  [profile_auto(expr, budget)[0] for expr in basis])[0]
+    return _relation(target, basis, budget)[0]
 
 
 def verify_decomposition(L: int, budget=DEFAULT_TERM_BUDGET) -> IdentityReport:

@@ -1,11 +1,32 @@
-"""Shared test helpers: seeded random generation of fast-route shapes."""
+"""Shared test helpers: seeded random generation of fast-route shapes, and
+exhaustive enumeration of small bracket-rooted shapes."""
 
-from itertools import count
+from itertools import count, product
 
 from nbracket.expand import naive_term_count
 from nbracket.syntax import Atom, Bracket, Product
 
 FIXED_POOL = ("A", "Z", "Q")
+
+
+def serial_pool(sizes):
+    """A stand-in for ProcessPoolExecutor that appends each pool's size to
+    ``sizes`` and maps serially, so no process starts."""
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    return SerialPool
 
 
 def random_supported_shape(rng, max_naive=200_000, min_naive=0):
@@ -85,3 +106,62 @@ def _any_node(rng, counter, depth):
     if roll < 0.6:
         return Atom(rng.choice(FIXED_POOL))
     return Atom(next(counter))
+
+
+def _compositions(n):
+    """Every ordered tuple of positive ints summing to n."""
+    yield (n,)
+    for first in range(1, n):
+        for rest in _compositions(n - first):
+            yield (first, *rest)
+
+
+def _trees(leaves, kinds=(Bracket, Product)):
+    """Plane trees as (kind, children) pairs with None at each leaf; every
+    internal node is one of kinds with at least two children."""
+    if leaves == 1:
+        yield None
+        return
+    for parts in _compositions(leaves):
+        if len(parts) > 1:
+            for kids in product(*[list(_trees(p)) for p in parts]):
+                for kind in kinds:
+                    yield kind, kids
+
+
+def _is_wide(tree):
+    """Whether a bracket of the tree has three or more composite children."""
+    return tree is not None and (
+        tree[0] is Bracket and sum(kid is not None for kid in tree[1]) > 2
+        or any(map(_is_wide, tree[1])))
+
+
+def labellings(leaves):
+    """Leaf symbols left to right: family indices 1, 2, ... wherever A and C
+    do not stand; at most one A and one C, and C only with A."""
+    slots = range(leaves)
+    for a in (None, *slots):
+        for c in (None,) if a is None else (None, *(i for i in slots if i != a)):
+            fresh = count(1)
+            yield ["A" if i == a else "C" if i == c else next(fresh) for i in slots]
+
+
+def _build(tree, symbols):
+    if tree is None:
+        return Atom(next(symbols))
+    return tree[0](tuple(_build(kid, symbols) for kid in tree[1]))
+
+
+def bracket_trees(leaves, wide=False):
+    """Every bracket-rooted plane tree of ``leaves`` leaves whose internal
+    nodes, brackets or products, have at least two children; with ``wide``,
+    only those holding a bracket of three or more composite entries."""
+    return [t for t in _trees(leaves, (Bracket,)) if not wide or _is_wide(t)]
+
+
+def enumerated_shapes(leaves, wide=False, symbol_lists=None):
+    """Each of ``bracket_trees(leaves, wide)`` under each leaf symbol list,
+    by default every one of ``labellings(leaves)``."""
+    symbol_lists = list(labellings(leaves) if symbol_lists is None else symbol_lists)
+    return [_build(tree, iter(symbols))
+            for tree in bracket_trees(leaves, wide) for symbols in symbol_lists]

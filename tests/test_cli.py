@@ -12,8 +12,10 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nbracket import cli
+from nbracket import cli, expand
 from nbracket.cli import IDENTITIES, main
+
+from support import serial_pool
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -111,12 +113,30 @@ def test_reduce_profile_keeps_vanishing_classes(capsys):
         assert code == 0 and doc["profile"] == profile
 
 
-def test_reduce_refuses_a_wide_bracket_below_the_root_on_the_fast_path(capsys):
+def test_reduce_takes_a_wide_bracket_below_the_root_on_the_fast_path(capsys):
+    for wide in ("[A [[b1 b2][b3 b4][b5 b6]] b7]", "[A [[b1 b2 b3][b4 b5 b6][b7 b8 b9]] b10]"):
+        docs = {}
+        for path in ("fast", "oracle", "auto"):
+            code, docs[path] = run_json(capsys, "reduce", wide, "--path", path,
+                                        "--format", "json")
+            assert code == 0, (wide, path)
+        assert [docs[p]["path"] for p in docs] == ["fast", "oracle", "oracle"], wide
+        assert docs["fast"]["classes"] == docs["oracle"]["classes"] == docs["auto"]["classes"]
+        code, out, err = run(capsys, "reduce", wide, "--path", "fast")
+        assert code == 0 and err == "" and out, wide
+
+
+def test_reduce_auto_checks_a_wide_shape_as_the_fast_route_first(capsys):
+    # 36 collapsed words, 288 literal: auto reports the fast budget before the
+    # oracle's, and a repeated index before either
     wide = "[A [[b1 b2][b3 b4][b5 b6]] b7]"
-    code, out, err = run(capsys, "reduce", wide, "--path", "fast")
-    assert code == 4 and out == "" and err.startswith("unsupported:")
-    code, doc = run_json(capsys, "reduce", wide, "--path", "auto", "--format", "json")
-    assert code == 0 and doc["path"] == "oracle"
+    for argv, code_err in (
+        ([wide, "--budget", "35"], (3, "budget error: fast expansion needs 36 words")),
+        ([wide, "--budget", "36"], (3, "budget error: oracle expansion needs 288 words")),
+        ([wide.replace("b3", "b1"), "--budget", "1"], (2, "input error: family indices")),
+    ):
+        code, out, err = run(capsys, "reduce", *argv)
+        assert (code, err[:len(code_err[1])], out) == (*code_err, ""), argv
 
 
 def test_reduce_paths_agree(capsys):
@@ -483,7 +503,7 @@ def test_record_into_an_unwritable_path_is_an_input_error(capsys, tmp_path):
 
 
 def test_thread_count_does_not_change_output(capsys):
-    # three composite entries: --path auto falls back to the oracle's workers
+    # three composite entries: --path auto takes the oracle, which starts workers
     wide = "[[A b1] [Z b2] [Q b3]]"
     _, out1, _ = run(capsys, "reduce", wide, "--path", "auto", "--format", "json",
                      "--threads", "1")
@@ -529,13 +549,26 @@ def test_module_entry_point():
     assert proc.stdout.splitlines() == ["+1 A b1", "-1 b1 A"]
 
 
-def test_bench_reports_parallel_speedup(capsys):
+def test_bench_reports_parallel_speedup(capsys, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     code, doc = run_json(capsys, "bench", "1", "--format", "json", "--threads", "2")
     assert code == 0
     paths = [r["path"] for r in doc["rows"]]
     assert "oracle x2" in paths
     scaled = next(r for r in doc["rows"] if r["path"] == "oracle x2")
     assert "speedup" in scaled["note"]
+
+
+@pytest.mark.parametrize("cpus, parallel", [(2, ["oracle x2"] * 2), (1, [])])
+def test_bench_names_the_workers_that_start(capsys, monkeypatch, cpus, parallel):
+    # --threads 3 starts min(3, cpus) workers; one worker is no parallel row
+    sizes = []
+    monkeypatch.setattr(expand, "ProcessPoolExecutor", serial_pool(sizes))
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    code, doc = run_json(capsys, "bench", "1", "--format", "json", "--threads", "3")
+    assert code == 0
+    assert [r["path"] for r in doc["rows"] if r["path"].startswith("oracle x")] == parallel
+    assert sizes == [cpus] * len(parallel)
 
 
 def test_bench_text_table(capsys):

@@ -7,7 +7,6 @@ from nbracket import expand
 from nbracket.algebra import FreeElement
 from nbracket.expand import (
     TermBudgetExceeded,
-    UnsupportedShapeError,
     bracket_sizes,
     expand_bracket,
     expand_expr,
@@ -19,9 +18,14 @@ from nbracket.expand import (
     profile_auto,
     word_count,
 )
-from nbracket.syntax import Atom, Bracket, Product, parse
+from nbracket.syntax import Atom, Bracket, Product, parse, render
 
-from support import random_composite_shape, random_supported_shape
+from support import (
+    enumerated_shapes,
+    random_composite_shape,
+    random_supported_shape,
+    serial_pool,
+)
 
 A = FreeElement.from_symbol("A")
 Z = FreeElement.from_symbol("Z")
@@ -156,26 +160,18 @@ def test_jobs_do_not_change_the_profile():
 
 
 def test_worker_count_is_clamped_at_cpu_count(monkeypatch):
-    # a stub pool records its size and maps serially, so no process starts
     sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(expand, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(expand, "ProcessPoolExecutor", serial_pool(sizes))
     monkeypatch.setattr(expand.os, "cpu_count", lambda: 3)
     expr = Bracket((Atom("A"),) + tuple(Atom(i) for i in range(1, 8)))
     assert oracle_profile(expr, jobs=100_000) == oracle_profile(expr)
+    assert sizes == [3]
+    # profile_auto runs one job unless asked for more: no pool starts
+    assert profile_auto(expr, budget=10**6, path="oracle")[1] == "oracle"
+    assert sizes == [3]
+    # an unknown CPU count counts as one: no pool starts
+    monkeypatch.setattr(expand.os, "cpu_count", lambda: None)
+    assert oracle_profile(expr, jobs=4) == oracle_profile(expr)
     assert sizes == [3]
 
 
@@ -266,6 +262,8 @@ def test_fast_profile_matches_oracle_on_named_shapes():
         "[([b1 b2] [A b3]) b4]",
         "[(b2 A b1) [Z b3] b4 b5]",
         "[A B C b1 b2]",
+        "b1",  # the one family atom that _compose is called on
+        "(A b1)",
     ):
         expr = parse(text)
         assert fast_profile(expr) == oracle_profile(expr), text
@@ -337,32 +335,43 @@ def test_fast_matches_oracle_on_the_wide_half_order_two_shape():
     assert fast_profile(expr) == oracle_profile(expr)
 
 
-def test_fast_profile_rejects_wide_nestings():
+def test_fast_profile_covers_wide_nestings():
     expr = Bracket((
         Bracket((Atom("A"), Atom(1))),
         Bracket((Atom("Z"), Atom(2))),
         Bracket((Atom("Q"), Atom(3))),
     ))
-    with pytest.raises(UnsupportedShapeError):
-        fast_profile(expr)
-    # the oracle still covers it
-    assert oracle_profile(expr) != {}
+    classes = oracle_profile(expr)
+    assert classes != {} and fast_profile(expr) == classes
 
 
-def test_wide_brackets_below_the_root_are_refused_and_fall_back():
+def test_wide_brackets_below_the_root_compose_and_auto_takes_the_oracle():
     # the first profile vanishes; the second, of 3-brackets, keeps 4 classes
     for text, size in (("[A [[b1 b2][b3 b4][b5 b6]] b7]", 0),
                        ("[A [[b1 b2 b3][b4 b5 b6][b7 b8 b9]] b10]", 4)):
         expr = parse(text)
-        with pytest.raises(UnsupportedShapeError):
-            fast_profile(expr)
         classes, route = profile_auto(expr, budget=10**6)
         assert route == "oracle" and classes == oracle_profile(expr), text
         assert len(classes) == size, text
-    # a product of three brackets is composed, not refused
-    expr = parse("[A ([b1 b2][b3 b4][b5 b6]) b7]")
-    classes = oracle_profile(expr)
-    assert classes and profile_auto(expr, budget=10**6) == (classes, "fast")
+        assert profile_auto(expr, budget=10**6, path="fast") == (classes, "fast"), text
+    # neither a product of three brackets nor a bracket of two composite
+    # entries is wide: auto takes the fast route
+    for text in ("[A ([b1 b2][b3 b4][b5 b6]) b7]", "[[A b1] ([b2 b3] b4) b5]"):
+        expr = parse(text)
+        classes = oracle_profile(expr)
+        assert classes and profile_auto(expr, budget=10**6) == (classes, "fast"), text
+
+
+def test_fast_equals_oracle_on_every_small_shape_and_on_wide_ones():
+    # every bracket-rooted shape of up to 5 leaves, every wide one of 6 (three
+    # 2-leaf composites under the root), and the wide trees of 7 leaves, which
+    # put wide brackets below the root too, with family atoms only and A first
+    shapes = [expr for leaves in range(2, 6) for expr in enumerated_shapes(leaves)]
+    wide6 = enumerated_shapes(6, wide=True)
+    wide7 = enumerated_shapes(7, wide=True, symbol_lists=[range(1, 8), ["A", *range(1, 7)]])
+    assert (len(shapes), len(wide6), len(wide7)) == (582 + 5590, 8 * 37, 168 * 2)
+    for expr in shapes + wide6 + wide7:
+        assert fast_profile(expr) == oracle_profile(expr), render(expr)
 
 
 def test_kernel_generates_exactly_the_counted_words():

@@ -360,8 +360,8 @@ def test_decomposition_identity_basis():
     assert decompose(target, [target]) == [1]
 
 
-def test_decomposition_falls_back_to_the_oracle_on_wide_shapes():
-    # three composite entries: the fast route refuses it, the oracle covers it
+def test_decomposition_covers_wide_shapes():
+    # three composite entries under the root, composed by the fast route
     wide = parse("[[A b1] [Z b2] [Q b3]]")
     assert decompose(wide, [wide]) == [1]
 
