@@ -19,19 +19,22 @@ factorial(#atoms).  The sign of the identity order is the parity of the
 entries' sorted index runs concatenated; swapping adjacent entries X and Y
 with d_X and d_Y family indices multiplies a term by -(-1)^(d_X d_Y), so
 family atoms commute and an entry with even d flips the sign for each atom
-it passes.  Classes are keyed sparsely by their (position, fixed symbol)
-pairs and made dense patterns only at the root.  The oracle never uses these
-shortcuts, which is what makes the cross-check between routes mean something.
+it passes.  A bracket with family atoms and one keyed entry, holding fixed
+symbols, counts placements per order of its other entries as running sums,
+left[x] (+-1)^x right[x] at keyed offset (widths ahead) + x, which multiply
+single-symbol keyed classes as a polynomial.  Classes are keyed sparsely by
+(position, fixed symbol), dense patterns only at the root.  The oracle never
+uses these shortcuts, which is what makes the cross-check mean something.
 Both routes cover every shape; ``profile_auto`` is the one place that picks one.
 """
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from itertools import permutations as iter_placements, product as iter_product
-from math import factorial, lgamma, log, log2, prod
+from itertools import accumulate, permutations as iter_placements, product as iter_product
+from math import factorial, gcd, lgamma, log, log2, prod
 
 from .algebra import ANTI_SLOT, FreeElement, is_anti, merge_class_maps, reduce_terms
-from .permutations import parity, signed_perm_range
+from .permutations import inversion_count, parity, signed_perm_range
 from .syntax import Atom, Bracket, Product, validate_unique_anti
 
 DEFAULT_TERM_BUDGET = 10**8
@@ -229,7 +232,8 @@ def _compose(expr):
 
     A product is the identity placement with weight 1.  Entries without fixed
     symbols, whose single class is (), enter as scalars, so the placements
-    are summed by the offsets of the other entries alone.
+    are summed by the offsets of the other, keyed, entries alone: in closed
+    form in a bracket with family atoms and exactly one of them.
     """
     if isinstance(expr, Atom):
         if is_anti(expr.symbol):
@@ -256,14 +260,26 @@ def _compose(expr):
     scale *= parity(indices)  # the identity order's sign
     if isinstance(expr, Bracket):
         scale *= factorial(len(kids) - len(others))
-        placements = iter_placements(range(len(kids)), len(others))
-    else:
-        placements = (others,)
     if not others:  # family atoms alone: one placement
         return {(): scale}, run, width
-    # moving X past Y multiplies by -(-1)^(d_X d_Y): d counts family indices,
-    # so atoms commute and an even-d entry flips the sign per atom it passes
-    signs = {}
+    signs, placements = {}, (others,)  # a product's one placement, the identity
+    if isinstance(expr, Bracket) and (len(keyed) != 1 or len(kids) == len(others)):
+        placements = iter_placements(range(len(kids)), len(others))
+    elif isinstance(expr, Bracket):  # one keyed entry among atoms: closed form
+        j, classes = keyed[0]
+        counts = _placement_sums(others, widths, even, j, len(kids) - len(others))
+        names = {key[0][1] for key in classes}
+        if len(names) == 1 and all(len(key) == 1 for key in classes):  # a coefficient list
+            name = names.pop()
+            common = gcd(*classes.values())
+            coeffs = [classes.get(((p, name),), 0) // common for p in range(widths[j])]
+            short, long = (coeffs, counts) if len(coeffs) < len(counts) else (counts, coeffs)
+            total, scale = [0] * width, scale * common
+            for off, n in enumerate(short):  # the polynomial product
+                total[off:off + len(long)] = [t + n * c for t, c in zip(total[off:], long)]
+            return {((q, name),): scale * t for q, t in enumerate(total) if t}, run, width
+        signs, placements = {(off,): n for off, n in enumerate(counts)}, ()
+    # moving X past Y multiplies by -(-1)^(d_X d_Y), d counting family indices
     for placement in placements:
         flips = 0
         offsets = []
@@ -278,7 +294,7 @@ def _compose(expr):
                 flips += atoms - others[i] + i
             offsets.append(offset + atoms)
         shift = tuple([offsets[j] for j, _ in keyed])
-        signs[shift] = signs.get(shift, 0) + (-scale if flips & 1 else scale)
+        signs[shift] = signs.get(shift, 0) + (-1 if flips & 1 else 1)
     out = {}
     for shift, coeff in signs.items():
         terms = [((), coeff)]
@@ -287,7 +303,30 @@ def _compose(expr):
                      for key, value in terms for k, c in classes.items()]
         for key, value in terms:
             out[key] = out.get(key, 0) + value
-    return {k: c for k, c in out.items() if c}, run, width
+    return {k: scale * c for k, c in out.items() if c}, run, width
+
+
+def _running_sums(slots, even, atoms, far=0):
+    """By x, sums over 0 <= a_1 <= .. <= a_k <= x of prod (-1)^(a_i + far) over even slots."""
+    sums = [1] * (atoms + 1)
+    for i in slots:
+        sums = list(accumulate(-c if even[i] and (x + far) & 1 else c for x, c in enumerate(sums)))
+    return sums
+
+
+def _placement_sums(others, widths, even, j, atoms):
+    """Signed placement counts by the offset of other entry j, one order at a time."""
+    base = sum(others[i] - i for i in range(len(others)) if even[i])
+    counts = [0] * (sum(widths) - widths[j] + atoms + 1)
+    for order in iter_placements(range(len(others))):
+        flips = base + inversion_count(order) + inversion_count([i for i in order if not even[i]])
+        m = order.index(j)
+        left = _running_sums(order[:m], even, atoms)
+        right = _running_sums(order[:m:-1], even, atoms, atoms)[::-1]  # a_i from the far end
+        ahead = sum(widths[i] for i in order[:m])
+        for x, (a, b) in enumerate(zip(left, right)):
+            counts[ahead + x] += -a * b if (flips + even[j] * x) & 1 else a * b
+    return counts
 
 
 def fast_profile(expr, budget=DEFAULT_TERM_BUDGET):

@@ -1,5 +1,7 @@
 import random
-from math import factorial
+import re
+from itertools import count, permutations
+from math import factorial, gcd
 
 import pytest
 
@@ -372,6 +374,59 @@ def test_fast_equals_oracle_on_every_small_shape_and_on_wide_ones():
     assert (len(shapes), len(wide6), len(wide7)) == (582 + 5590, 8 * 37, 168 * 2)
     for expr in shapes + wide6 + wide7:
         assert fast_profile(expr) == oracle_profile(expr), render(expr)
+
+
+def test_fast_equals_oracle_on_one_keyed_entry_among_scalars():
+    # the closed-form placement sums: one entry with fixed symbols among 2-3
+    # scalar entries of both index parities, on both sides of it, and 1-5
+    # family atoms.  enumerated_shapes(5) never reaches them: its composite
+    # entries hold two leaves or more, so A, an atom and two scalars need 6.
+    # (A b) is a keyed product; [A Z b] holds two fixed symbols, so its classes
+    # are no coefficient list and take the sparse shift.  Shapes over 10^5
+    # literal words are left out: 3 scalars then reach 4 atoms, 2 reach 5.
+    keyed = ("A", "[A b]", "(A b)", "[A Z b]")
+    scalars = (("(b)", "(b b)"), ("[b b]", "(b b b)"),
+               ("(b b)", "(b)", "[b b]"), ("(b b b)", "[b b]", "(b)"))
+    covered = set()
+    for atoms in range(1, 6):
+        for key in keyed:
+            for before, *after in scalars:
+                entries = ["b"] * (atoms // 2) + [before] + ["b"] * (atoms - atoms // 2)
+                entries += [key, *after]
+                fresh = count(1)
+                text = re.sub("b", lambda _: f"b{next(fresh)}", f"[{' '.join(entries)}]")
+                expr = parse(text)
+                if naive_term_count(expr) <= 10**5:
+                    assert fast_profile(expr) == oracle_profile(expr), text
+                    covered.add((atoms, len(after) + 1))
+    assert covered >= {(k, 2) for k in range(1, 6)} | {(k, 3) for k in range(1, 5)}
+
+
+def test_one_keyed_brackets_sum_orders_not_placements(monkeypatch):
+    # in closed form, a bracket with one keyed entry among family atoms goes
+    # through the orders of its non-atom entries, not their placements among
+    # its atoms, and divides a keyed coefficient list by its gcd.
+    # nested_shape(2) has 2 orders inside (20 placements) and 1 at the root
+    # (5); the paired shape's root, A and two inner brackets among 2 atoms, 3!
+    # (60).  Without atoms each order is one placement, enumerated as such.
+    from nbracket.identities import decomposition_basis, nested_shape
+
+    orders, divisors = [], []
+
+    def counted(*args):
+        found = list(permutations(*args))
+        orders.extend(found)
+        return iter(found)
+
+    monkeypatch.setattr(expand, "iter_placements", counted)
+    monkeypatch.setattr(expand, "gcd", lambda *values: divisors.append(gcd(*values)) or divisors[-1])
+    cases = ((nested_shape(2), 3, [1, 720]), (decomposition_basis(2)[1], 6, [1]),
+             (parse("[A [b1 b2] (b3)]"), 6, []))
+    for expr, n_orders, found in cases:
+        orders.clear()
+        divisors.clear()
+        fast_profile(expr)
+        assert (len(orders), divisors) == (n_orders, found), render(expr)
 
 
 def test_kernel_generates_exactly_the_counted_words():

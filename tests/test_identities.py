@@ -232,7 +232,7 @@ def test_profiles_match_closed_form_up_to_three():
 
 
 def test_profiles_beyond_the_verification_limit():
-    for L in (4, 20, 30):
+    for L in (4, 20, 30, 60, 100):
         side1, side2 = bremner_profiles(L)
         assert side1.m == side2.m == CoefficientProfile.closed_form(L).m, L
 
@@ -348,7 +348,7 @@ def test_seven_bracket_decomposition():
 
 def test_decomposition_coefficient_conjecture():
     # closed forms swept as conjectures; verify decomp derives its own
-    for L in range(1, 7):
+    for L in range(1, 21):
         a1 = Fraction(6 * L + 1, 4 * L + 2) * Fraction(factorial(2 * L + 1) ** 3,
                                                      factorial(6 * L + 1))
         a2 = Fraction(-(2 * L - 1), 4 * L + 2)
