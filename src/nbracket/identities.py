@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
-from math import factorial, log10
+from math import factorial, gcd, lcm, log10
 from time import perf_counter
 
 from .algebra import ANTI_SLOT, pattern_str, sort_words
@@ -214,7 +214,9 @@ def relate(target, basis):
 
     def eliminate(row):
         """Fold row into the reduced rows; return its residue if it has no pivot."""
-        scale = 1  # rows fold by cross-multiplying, so this one is scale times the true row
+        den = lcm(*[x.denominator for x in row])  # null rows, at least, hold Fractions
+        common, row = _primitive([x.numerator * (den // x.denominator) for x in row])
+        scale = den  # row is scale / common times the true row; cross-multiplying keeps that
         for c, pivot_row in pivots.items():
             if row[c]:
                 x_c, y_c = row[c], pivot_row[c]
@@ -222,12 +224,12 @@ def relate(target, basis):
                 scale *= y_c
         c = next((c for c in range(n) if row[c]), None)
         if c is None:
-            return Fraction(row[n], scale)
+            return Fraction(row[n] * common, scale)
         for k, other in pivots.items():
             if other[c]:
                 x_c, y_c = other[c], row[c]
-                pivots[k] = [x * y_c - x_c * y for x, y in zip(other, row)]
-        pivots[c] = row
+                pivots[k] = _primitive([x * y_c - x_c * y for x, y in zip(other, row)])[1]
+        pivots[c] = _primitive(row)[1]
         return 0
 
     for pattern in sort_words(set(target).union(*basis)):
@@ -242,6 +244,13 @@ def relate(target, basis):
     for null in nulls:
         eliminate(null + [0])
     return [Fraction(pivots[c][n], pivots[c][c]) for c in range(n)], None
+
+
+def _primitive(row):
+    """(g, row / g) for an integral row, g the gcd of its entries or 1 for a zero
+    row; ``relate`` divides every row it keeps, so its integers stay small."""
+    common = gcd(*row) or 1
+    return common, [x // common for x in row]
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,11 @@ Nesting deeper than ``MAX_DEPTH`` brackets and parentheses is a ParseError.
 """
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from itertools import count, filterfalse
 
-from .algebra import is_anti, symbol_str
+from .algebra import symbol_str
 
 # Deepest nesting of brackets and parentheses the parser accepts.  The
 # expanders, counters, walkers and the renderer recurse once or twice per level,
@@ -204,32 +205,27 @@ def render(expr) -> str:
 # structure helpers
 
 
-def walk_atoms(expr):
-    if isinstance(expr, Atom):
-        yield expr.symbol
-    elif isinstance(expr, (Product, Bracket)):
-        for kid in expr.factors if isinstance(expr, Product) else expr.entries:
-            if isinstance(kid, Atom):  # leaves are read here, not in a generator each
-                yield kid.symbol
-            else:
-                yield from walk_atoms(kid)
-    else:
-        raise TypeError(f"not a bracket expression: {expr!r}")
-
-
 def anti_indices(expr):
     """Family indices in occurrence order (repeats included)."""
-    return [s for s in walk_atoms(expr) if is_anti(s)]
+    found = []
+    _add_anti_indices((expr,), found)
+    return found
+
+
+def _add_anti_indices(nodes, found):  # one list for the whole walk, no generator per level
+    for node in nodes:
+        if isinstance(node, Atom):
+            if isinstance(node.symbol, int):  # is_anti, inline in the loop
+                found.append(node.symbol)
+        elif isinstance(node, (Product, Bracket)):
+            _add_anti_indices(node.factors if isinstance(node, Product) else node.entries, found)
+        else:
+            raise TypeError(f"not a bracket expression: {node!r}")
 
 
 def validate_unique_anti(expr):
     """Require every family index to occur exactly once in the expression."""
-    seen = set()
-    duplicates = set()
-    for index in anti_indices(expr):
-        if index in seen:
-            duplicates.add(index)
-        seen.add(index)
-    if duplicates:
-        listed = ", ".join(f"b{i}" for i in sorted(duplicates))
+    indices = anti_indices(expr)
+    if len(set(indices)) < len(indices):
+        listed = ", ".join(f"b{i}" for i, k in sorted(Counter(indices).items()) if k > 1)
         raise DuplicateAntiIndexError(f"family indices repeat in expression: {listed}")

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 from time import perf_counter
 
 import pytest
 
+import nbracket.identities as identities
 from nbracket.expand import bracket_sizes, fast_profile, oracle_profile, word_count
 from nbracket.identities import (
     SKELETONS,
@@ -429,6 +430,33 @@ def test_relate_gives_the_minimum_norm_solution_of_a_dependent_basis():
     assert relate({P1: 5}, [{P1: 1}, {P1: 2}]) == ([1, 2], None)
     coefficients, _ = relate({P1: 2, P2: 2, P3: 3}, [{P1: 1, P2: 1}, {P3: 1}, {P1: 1, P2: 1}])
     assert coefficients == [1, 3, 1]
+
+
+def test_relate_stores_each_row_divided_by_the_gcd_of_its_entries(monkeypatch):
+    stored = []
+    primitive = identities._primitive
+    monkeypatch.setattr(identities, "_primitive",
+                        lambda row: stored.append(primitive(row)) or stored[-1])
+    target, basis = decomposition_target(2), decomposition_basis(2)
+    assert decompose(target, basis) == [Fraction(1, 2772), Fraction(-3, 10)]
+    # a dependent basis whose null row holds Fractions, and a Fraction target
+    assert relate({P1: Fraction(9, 2), P2: 3}, [{P1: 6, P2: 4}, {P1: 9, P2: 6}]) == (
+        [Fraction(3, 13), Fraction(9, 26)], None)
+    assert stored and all(gcd(*row) == 1 for _, row in stored)
+    # [2 4 | 10] comes in and is kept as [1 2 | 5]; [4 18 | 30] comes in, folds to
+    # [0 5 | 5], updates the first row to [5 0 | 15] and is kept as [0 1 | 1]
+    stored.clear()
+    assert relate({P1: 10, P2: 30}, [{P1: 2, P2: 4}, {P1: 4, P2: 18}]) == ([3, 1], None)
+    assert stored == [(2, [1, 2, 5]), (1, [1, 2, 5]), (2, [2, 9, 15]), (5, [1, 0, 3]),
+                      (5, [0, 1, 1])]
+    assert primitive([4, -6, 0]) == (2, [2, -3, 0]) and primitive([0, 0]) == (1, [0, 0])
+    # explicit zero values make zero rows, whose gcd is 0
+    assert relate({P1: 0, P2: 2}, [{P1: 0, P2: 1}]) == ([2], None)
+    # the residue keeps the factor divided out of its row
+    assert relate({P1: 6}, [{P2: 4}]) == (
+        None, {"pattern": "A b* b*", "coefficient": 6, "expected": 0})
+    _, witness = relate({P2: Fraction(9, 4), P3: 1}, [{P2: Fraction(3, 2), P3: 2}])
+    assert witness == {"pattern": "b* b* A", "coefficient": 1, "expected": 3}
 
 
 def fraction_relate(target, basis):

@@ -1,3 +1,4 @@
+import random
 from itertools import islice, permutations
 
 import nbracket.expand as expand
@@ -47,8 +48,22 @@ def signed_by_parity(n, start=0, stop=None):
 
 
 def test_lehmer_signs_equal_parity_over_the_full_range():
+    # three independent signs: Lehmer digit sums, cycles, inversion pairs
     for n in range(8):
         assert list(signed_perm_range(n)) == signed_by_parity(n), n
+        assert all(sign == (-1) ** inversion_count(perm) for sign, perm in signed_perm_range(n))
+
+
+def test_cycle_parity_equals_the_inversion_sign_on_random_sequences():
+    rng = random.Random(39)
+    words = [format(k, "b") for k in range(1000)]  # string order is not numeric order
+    for n in range(301):
+        ints = rng.sample(range(-500, 500), n)
+        assert parity(ints) == (-1) ** inversion_count(ints), ints
+        strings = tuple(rng.sample(words, n))
+        assert parity(strings) == (-1) ** inversion_count(strings), strings
+    seq = [3, 1, 2]
+    assert parity(seq) == 1 and seq == [3, 1, 2]  # the argument is left as it was
 
 
 def test_lehmer_signs_equal_parity_over_every_oracle_block(monkeypatch):

@@ -147,3 +147,23 @@ def test_anti_index_validation():
     with pytest.raises(DuplicateAntiIndexError):
         validate_unique_anti(expr)
     validate_unique_anti(parse("[b1 [b2 b3]]"))
+    with pytest.raises(DuplicateAntiIndexError, match=r"expression: b1, b3$"):
+        validate_unique_anti(parse("[b3 b1 [b3 b1 (b1 A)] b2]"))
+
+
+def test_anti_indices_keep_occurrence_order_under_a_product_and_deep_nesting():
+    expr = Product((Atom(3), Bracket((Atom("A"), Atom(1), Product((Atom(3), Atom("B"))))), Atom(2)))
+    assert anti_indices(expr) == [3, 1, 3, 2]
+    assert anti_indices(Atom(5)) == [5] and anti_indices(Atom("A")) == []
+    deep = Atom(1)
+    for depth in range(2, MAX_DEPTH + 1):  # k A (deeper) k, products and brackets in turn
+        deep = (Bracket if depth % 2 else Product)((Atom(depth), Atom("A"), deep, Atom(depth)))
+    assert anti_indices(deep) == [*range(MAX_DEPTH, 1, -1), 1, *range(2, MAX_DEPTH + 1)]
+
+
+def test_anti_indices_reject_a_non_expression():
+    for bad in ("[b1]", 1, None, Bracket((Atom(1), "b2")), Product((Bracket((Atom(1), 2)),))):
+        with pytest.raises(TypeError, match="not a bracket expression"):
+            anti_indices(bad)
+        with pytest.raises(TypeError, match="not a bracket expression"):
+            validate_unique_anti(bad)
